@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke loadgen-smoke doccheck serve serve-recover clean
+.PHONY: all build vet test race bench bench-smoke loadgen-smoke doccheck loc serve serve-recover clean
 
 all: build vet test race doccheck
 
@@ -79,6 +79,11 @@ loadgen-smoke:
 # Fail if any exported identifier in the facade package lacks a doc comment.
 doccheck:
 	$(GO) run ./cmd/doccheck .
+
+# Non-test Go line count, the ROADMAP's code-size metric. The benchmark
+# module (perfbench/) and its build output (.bench_build/) are excluded.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # Smoke-run the admission-controlled serving mode.
 serve:

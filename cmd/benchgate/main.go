@@ -13,6 +13,9 @@
 // requires current ≥ (1 - tolerance) × baseline for each. Benchmarks
 // present in only one file are reported but never fail the gate, so the
 // baseline does not have to be regenerated when a benchmark is added.
+// Names are compared without the `-N` GOMAXPROCS suffix `go test` appends
+// on multi-core hosts, so a baseline captured at one core count gates runs
+// at any other.
 // Every metric that is skipped (present in the baseline but missing from
 // the current capture, or non-positive in the baseline) is logged, and if
 // the run ends with zero metrics actually compared the gate fails: a
@@ -68,7 +71,7 @@ func parse(path string, units map[string]bool) (metrics, error) {
 		if len(fields) < 3 {
 			continue
 		}
-		name := fields[0]
+		name := benchName(fields[0])
 		for i := 1; i+1 < len(fields); i++ {
 			unit := fields[i+1]
 			if !units[unit] {
@@ -85,6 +88,62 @@ func parse(path string, units map[string]bool) (metrics, error) {
 		}
 	}
 	return out, sc.Err()
+}
+
+// benchName strips the trailing `-<digits>` GOMAXPROCS suffix from a
+// benchmark name. Sub-benchmark parameters are spelled `key=value`, so no
+// other name ends in a dash and digits.
+func benchName(s string) string {
+	i := strings.LastIndexByte(s, '-')
+	if i < 0 || i == len(s)-1 {
+		return s
+	}
+	if _, err := strconv.Atoi(s[i+1:]); err != nil {
+		return s
+	}
+	return s[:i]
+}
+
+// compare gates every baseline metric present in cur against the floor
+// (1 - tolerance) × baseline, printing one line per benchmark metric. It
+// returns how many metrics it compared and whether any regressed.
+func compare(base, cur metrics, tolerance float64) (compared int, failed bool) {
+	for name, bm := range base {
+		cm, ok := cur[name]
+		if !ok {
+			fmt.Printf("benchgate: %s: in baseline only (ignored)\n", name)
+			continue
+		}
+		for unit, bv := range bm {
+			cv, ok := cm[unit]
+			if !ok {
+				// A metric the baseline has but the current capture lost is
+				// exactly how a broken benchmark slips past the gate —
+				// always say so.
+				fmt.Printf("benchgate: %s: %s missing from current capture — skipped\n", name, unit)
+				continue
+			}
+			if bv <= 0 {
+				fmt.Printf("benchgate: %s: non-positive baseline %.4g %s — skipped\n", name, bv, unit)
+				continue
+			}
+			compared++
+			floor := bv * (1 - tolerance)
+			verdict := "ok"
+			if cv < floor {
+				verdict = "REGRESSED"
+				failed = true
+			}
+			fmt.Printf("benchgate: %s: %.4g %s vs baseline %.4g (floor %.4g) — %s\n",
+				name, cv, unit, bv, floor, verdict)
+		}
+	}
+	for name := range cur {
+		if _, ok := base[name]; !ok {
+			fmt.Printf("benchgate: %s: new benchmark, no baseline (ignored)\n", name)
+		}
+	}
+	return compared, failed
 }
 
 func main() {
@@ -127,43 +186,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	failed := false
-	compared := 0
-	for name, bm := range base {
-		cm, ok := cur[name]
-		if !ok {
-			fmt.Printf("benchgate: %s: in baseline only (ignored)\n", name)
-			continue
-		}
-		for unit, bv := range bm {
-			cv, ok := cm[unit]
-			if !ok {
-				// A metric the baseline has but the current capture lost is
-				// exactly how a broken benchmark slips past the gate —
-				// always say so.
-				fmt.Printf("benchgate: %s: %s missing from current capture — skipped\n", name, unit)
-				continue
-			}
-			if bv <= 0 {
-				fmt.Printf("benchgate: %s: non-positive baseline %.4g %s — skipped\n", name, bv, unit)
-				continue
-			}
-			compared++
-			floor := bv * (1 - *tolerance)
-			verdict := "ok"
-			if cv < floor {
-				verdict = "REGRESSED"
-				failed = true
-			}
-			fmt.Printf("benchgate: %s: %.4g %s vs baseline %.4g (floor %.4g) — %s\n",
-				name, cv, unit, bv, floor, verdict)
-		}
-	}
-	for name := range cur {
-		if _, ok := base[name]; !ok {
-			fmt.Printf("benchgate: %s: new benchmark, no baseline (ignored)\n", name)
-		}
-	}
+	compared, failed := compare(base, cur, *tolerance)
 	if compared == 0 {
 		// A gate that compared nothing passed nothing: renamed benchmarks,
 		// a bad -metrics list, or an empty capture must fail loudly, not

@@ -126,7 +126,7 @@ func main() {
 	if o.faultRate > 0 {
 		inject = fault.NewInjector(uint64(o.seed), o.faultRate, 1)
 	}
-	rt, err := core.New(core.Config{
+	rt, err := core.New(core.ExecConfig{
 		Topology: topo, Placer: placer, Scheduler: scheduler, Telemetry: tel,
 		Inject: inject, Workers: o.execWorkers,
 	})
@@ -283,6 +283,14 @@ type serveOpts struct {
 	inject                        *fault.Injector
 }
 
+// batchMode maps the -overlap flag onto the server's batch mode.
+func batchMode(overlap bool) core.BatchMode {
+	if overlap {
+		return core.BatchOverlapped
+	}
+	return core.BatchSequential
+}
+
 // newCheckpointStore builds the CLI's checkpoint store: a 2-way replicated
 // far-memory store over a private 3-node fabric.
 func newCheckpointStore() (fault.Store, error) {
@@ -310,7 +318,7 @@ func serveJobs(rt *core.Runtime, tel *telemetry.Registry, buildJob func(string) 
 
 	cfg := core.ServerConfig{
 		Runtime: rt, EpochWorkers: o.workers, QueueDepth: o.queueDepth,
-		MaxBatch: o.maxBatch, Block: true, Sequential: !o.overlap,
+		MaxBatch: o.maxBatch, Block: true, Batching: batchMode(o.overlap),
 	}
 	if o.recover {
 		store, err := newCheckpointStore()

@@ -47,7 +47,7 @@ func serveSharded(buildJob func(string) (*dataflow.Job, error), o shardServeOpts
 
 	scfg := core.ServerConfig{
 		EpochWorkers: o.workers, QueueDepth: o.queueDepth,
-		MaxBatch: o.maxBatch, Block: true, Sequential: !o.overlap,
+		MaxBatch: o.maxBatch, Block: true, Batching: batchMode(o.overlap),
 	}
 	scfg.Scheduler = o.scheduler
 	scfg.Workers = o.exec

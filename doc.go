@@ -78,7 +78,11 @@
 // [Checkpointer] into a fault-tolerant far-memory [FaultStore]
 // ([NewReplicatedStore], or the erasure-coded store in internal/fault).
 // Runtime.RunWithRecovery retries a failed job, completing checkpointed
-// tasks from their snapshots instead of re-executing them.
+// tasks from their snapshots instead of re-executing them. Run,
+// RunWithRecovery, RunAll and the Server's batches all drive one batch
+// executor with one retry loop: a retry resumes on the failed attempt's
+// rewound core clocks in every entry point, so RunWithRecovery's report
+// equals the served one for the same faults.
 //
 // Runtime.RunWithPartialReplay is the lazy variant: the retry resumes from
 // the failed task onward, and a snapshot's payload is fetched from the

@@ -30,7 +30,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rt, err := core.New(core.Config{Topology: topo, Placer: mk(topo)})
+		rt, err := core.New(core.ExecConfig{Topology: topo, Placer: mk(topo)})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

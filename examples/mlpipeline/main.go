@@ -22,7 +22,7 @@ import (
 
 func main() {
 	tel := telemetry.NewRegistry()
-	rt, err := core.New(core.Config{Telemetry: tel})
+	rt, err := core.New(core.ExecConfig{Telemetry: tel})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func main() {
 	// A runtime with all defaults: the reference single-node testbed
 	// (2 CPUs, GPU, TPU, FPGA, nine memory tiers, a far-memory pool),
 	// the best-fit placement optimizer, and the HEFT scheduler.
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -84,8 +84,9 @@ type (
 	// ExecConfig is the shared execution configuration consumed by both
 	// NewRuntime and ServerConfig's embedded defaults.
 	ExecConfig = core.ExecConfig
-	// RuntimeConfig assembles a Runtime; zero values get defaults.
-	RuntimeConfig = core.Config
+	// RuntimeConfig assembles a Runtime; zero values get defaults. It is
+	// ExecConfig under the name NewRuntime's callers use.
+	RuntimeConfig = core.ExecConfig
 	// Report is the outcome of one job run.
 	Report = core.Report
 	// MultiReport is the outcome of a concurrent job batch.
@@ -171,11 +172,13 @@ var NewServer = core.NewServer
 
 // Epoch batching modes (ServerConfig.Batching).
 const (
-	// BatchOverlapped lets one worker batch several queued jobs into a
-	// shared epoch (the serving default).
+	// BatchOverlapped runs a batch's jobs concurrently on one shared worker
+	// pool, each with the virtual-time report it would get alone (the
+	// serving default).
 	BatchOverlapped = core.BatchOverlapped
-	// BatchSequential runs one job per epoch — the debugging/baseline mode
-	// previously spelled ServerConfig.Sequential.
+	// BatchSequential runs a batch's jobs one after another over shared
+	// core clocks, each queueing behind its predecessors in virtual time
+	// (RunAll semantics).
 	BatchSequential = core.BatchSequential
 )
 

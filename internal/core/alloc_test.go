@@ -32,7 +32,7 @@ func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 // wavefront run of the wide diamond job (src → 8 branches → sink, with a
 // fenced job global): measured ~1.9k after pooling.
 func TestAllocBudgetSoloWavefront(t *testing.T) {
-	rt, err := New(Config{Workers: 4})
+	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 // TestAllocBudgetOverlappedBatch pins the allocation count of one
 // overlapped serving batch of four small jobs on a shared pool.
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
-	rt, err := New(Config{Workers: 4})
+	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

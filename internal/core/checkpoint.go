@@ -77,19 +77,16 @@ func NewCheckpointer(store fault.Store) *Checkpointer {
 	return &Checkpointer{store: store, entries: make(map[string]ckEntry)}
 }
 
-// runID mints a unique snapshot namespace for one submission of job. All
-// attempts of that submission share the ID; concurrent submissions of
-// same-named jobs get distinct IDs.
-func (c *Checkpointer) runID(job string) string {
+// NewRunID mints a unique snapshot namespace for one submission of job.
+// All attempts of that submission share the ID; concurrent submissions of
+// same-named jobs get distinct IDs. A sharded router mints one per
+// submission and threads it through SubmitOptions.ResumeID so every shard
+// attempt of that submission — the original and any failover
+// re-submissions — shares the namespace. The caller owns its lifecycle:
+// call Forget once the submission is settled.
+func (c *Checkpointer) NewRunID(job string) string {
 	return fmt.Sprintf("%s@%d", job, c.seq.Add(1))
 }
-
-// NewRunID mints a caller-owned snapshot namespace (see runID). A sharded
-// router mints one per submission and threads it through
-// SubmitOptions.ResumeID so every shard attempt of that submission — the
-// original and any failover re-submissions — shares the namespace. The
-// caller owns its lifecycle: call Forget once the submission is settled.
-func (c *Checkpointer) NewRunID(job string) string { return c.runID(job) }
 
 func ckKey(runID, task string) string { return runID + "/" + task }
 
@@ -232,12 +229,14 @@ func defaultFaultStore() (fault.Store, error) {
 // replaying completed tasks from their checkpoint records instead of
 // re-executing them. Every retry eagerly re-materializes each replayed
 // task's output from the store (whole-job replay: the full restore I/O is
-// paid up front). Returns the final report, the number of attempts used,
-// and the first error if all attempts failed. Snapshots are forgotten on
-// success and after the final failed attempt (nothing will ever replay
-// them).
+// paid up front). A retry resumes on the failed attempt's rewound core
+// clocks, exactly like a served retry, so the report equals the Server's
+// for the same kills. maxAttempts <= 0 means 2. Returns the final report,
+// the number of attempts used, and the last attempt's error if all
+// failed. Snapshots are forgotten on success and after the final failed
+// attempt (nothing will ever replay them).
 func (rt *Runtime) RunWithRecovery(job *dataflow.Job, ck *Checkpointer, maxAttempts int) (*Report, int, error) {
-	return rt.runRecovery(job, ck, maxAttempts, false)
+	return rt.recoverOne(job, ck, maxAttempts, false)
 }
 
 // RunWithPartialReplay is RunWithRecovery with lazy restore I/O: on a retry,
@@ -250,35 +249,27 @@ func (rt *Runtime) RunWithRecovery(job *dataflow.Job, ck *Checkpointer, maxAttem
 // recorded restore price per consumed input in both modes, and only the
 // real (wall-clock) store traffic differs.
 func (rt *Runtime) RunWithPartialReplay(job *dataflow.Job, ck *Checkpointer, maxAttempts int) (*Report, int, error) {
-	return rt.runRecovery(job, ck, maxAttempts, true)
+	return rt.recoverOne(job, ck, maxAttempts, true)
 }
 
-// runRecovery is the shared retry loop behind RunWithRecovery (eager
-// restore) and RunWithPartialReplay (lazy restore).
-func (rt *Runtime) runRecovery(job *dataflow.Job, ck *Checkpointer, maxAttempts int, partial bool) (*Report, int, error) {
+// recoverOne runs job as a batch of one under a recovery policy with no
+// backoff: eager (RunWithRecovery) or lazy (RunWithPartialReplay) restore.
+func (rt *Runtime) recoverOne(job *dataflow.Job, ck *Checkpointer, maxAttempts int, partial bool) (*Report, int, error) {
 	if ck == nil {
 		return nil, 0, fmt.Errorf("core: nil checkpointer")
 	}
 	if maxAttempts <= 0 {
 		maxAttempts = 2
 	}
-	id := ck.runID(job.Name())
-	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		rep, err := rt.execute(job, ck, id, partial)
-		if err == nil {
-			ck.Forget(id)
-			rep.Attempts = attempt
-			if attempt > 1 {
-				rep.ReplayedTasks = len(rep.Tasks) - rep.SkippedTasks
-			}
-			return rep, attempt, nil
-		}
-		lastErr = err
-		rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
+	m, err := rt.runOne(job, &RecoveryPolicy{Checkpointer: ck, MaxAttempts: maxAttempts, PartialReplay: partial})
+	if m == nil {
+		return nil, 0, err
 	}
-	ck.Forget(id)
-	return nil, maxAttempts, fmt.Errorf("core: job %s failed after %d attempts: %w", job.Name(), maxAttempts, lastErr)
+	if err != nil {
+		return nil, m.attempt, fmt.Errorf("core: job %s failed after %d attempts: %w", job.Name(), m.attempt, err)
+	}
+	m.r.report.Attempts = m.attempt
+	return m.r.report, m.attempt, nil
 }
 
 // checkpointTask snapshots a completed task's output (if any) into the
@@ -318,7 +309,6 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 // wall-clock fetch is serialized, never virtual time.
 type lazyRestore struct {
 	mu   sync.Mutex
-	size int64
 	done bool
 }
 
@@ -369,14 +359,10 @@ func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration)
 	for _, p := range t.Preds() {
 		r.smu.Lock()
 		h := r.pending[t.ID()][p.ID()]
-		if h != nil {
-			delete(r.pending[t.ID()], p.ID())
-		}
+		delete(r.pending[t.ID()], p.ID())
 		r.smu.Unlock()
-		if h != nil {
-			if h.Release() == nil { //nolint:errcheck // discarding a superseded input
-				ctx.noteRelease(h)
-			}
+		if h != nil && h.Release() == nil { // discarding a superseded input
+			ctx.noteRelease(h)
 		}
 	}
 	// Adopt inputs list as empty: the restored task does not run.
@@ -433,7 +419,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration)
 			ctx.now = now
 			if lazy {
 				r.smu.Lock()
-				r.lazy[t.ID()] = &lazyRestore{size: e.size}
+				r.lazy[t.ID()] = &lazyRestore{}
 				r.smu.Unlock()
 			}
 		}
@@ -445,14 +431,5 @@ func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration)
 	ctx.Log("restored from checkpoint")
 	r.rt.tel.Add(telemetry.LayerFault, "restores", 1)
 	r.flushEvents(ctx)
-	rep := &TaskReport{
-		Task: t.ID(), Compute: ctx.compute.ID,
-		Start: start, Finish: ctx.now,
-		Regions: ctx.regions, Logs: ctx.logs,
-	}
-	r.rt.tel.Record(telemetry.Span{
-		Layer: telemetry.LayerFault, Job: r.job.Name(), Task: t.ID(),
-		Name: "restore", Start: start, End: ctx.now,
-	})
-	return ctx.now, rep, nil
+	return ctx.now, ctx.report(start, telemetry.LayerFault, "restore"), nil
 }

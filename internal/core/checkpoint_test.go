@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,22 +26,44 @@ func newCkStore(t testing.TB) (*Checkpointer, *cluster.Fabric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCheckpointer(ckWithAutoFlush{store}), fabric
+	return NewCheckpointer(ckWithAutoFlush{store, new(sync.Mutex)}), fabric
 }
 
 // ckWithAutoFlush seals spans on every Put so snapshots are immediately
 // durable (a real deployment would group-commit; tests want determinism).
+// Put and its seal are one critical section: otherwise, with concurrent
+// Puts, one seal ships another Put's staged bytes too, and the Put price —
+// the recorded replay price — depends on wall-clock interleaving.
 type ckWithAutoFlush struct {
 	*fault.ErasureStore
+	mu *sync.Mutex
 }
 
 func (s ckWithAutoFlush) Put(data []byte) (fault.ObjectID, time.Duration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	id, d, err := s.ErasureStore.Put(data)
 	if err != nil {
 		return id, d, err
 	}
 	d2, err := s.ErasureStore.Flush()
 	return id, d + d2, err
+}
+
+// crashAfterFirstPut runs crash once, right after the first snapshot is
+// stored.
+type crashAfterFirstPut struct {
+	fault.Store
+	crash func() error
+	once  sync.Once
+}
+
+func (s *crashAfterFirstPut) Put(data []byte) (fault.ObjectID, time.Duration, error) {
+	id, d, err := s.Store.Put(data)
+	if err == nil {
+		s.once.Do(func() { err = s.crash() })
+	}
+	return id, d, err
 }
 
 // flakyJob builds a 3-task chain whose middle task fails the first
@@ -183,25 +206,19 @@ func TestRecoveryExhaustsAttempts(t *testing.T) {
 
 func TestRecoverySurvivesStorageNodeCrash(t *testing.T) {
 	// A memory node holding checkpoint shards crashes between attempts;
-	// erasure coding must still restore the snapshot.
+	// erasure coding must still restore the snapshot. The crash lands right
+	// after the first snapshot (produce's) is stored, before the flaky
+	// transform fails, so the retry restores through a degraded read.
 	rt := newRuntime(t)
-	ck, fabric := newCkStore(t)
+	base, fabric := newCkStore(t)
+	ck := NewCheckpointer(&crashAfterFirstPut{Store: base.store, crash: func() error { return fabric.Crash("ckmem0") }})
 	counts := map[string]*int{"produce": new(int), "transform": new(int), "consume": new(int)}
-	job := flakyJob(1, counts)
-
-	// First attempt manually so we can crash a node before the retry; both
-	// attempts share one submission ID so the retry sees the snapshots.
-	id := ck.runID(job.Name())
-	_, err := rt.execute(job, ck, id, false)
-	if err == nil {
-		t.Fatal("first attempt should fail (flaky task)")
-	}
-	if err := fabric.Crash("ckmem0"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := rt.execute(job, ck, id, false)
+	rep, attempts, err := rt.RunWithRecovery(flakyJob(1, counts), ck, 2)
 	if err != nil {
 		t.Fatalf("retry with crashed checkpoint node: %v", err)
+	}
+	if attempts != 2 {
+		t.Errorf("attempts = %d, want 2", attempts)
 	}
 	if *counts["produce"] != 1 {
 		t.Errorf("produce re-executed despite degraded checkpoint read")

@@ -107,7 +107,7 @@ func indexOf(id string) int {
 func TestRandomDAGDataIntegrityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rt, err := New(Config{})
+		rt, err := New(ExecConfig{})
 		if err != nil {
 			return false
 		}

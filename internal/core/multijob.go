@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/sched"
-	"repro/internal/topology"
 )
 
 // This file adds concurrent multi-job execution — the deployment shape the
@@ -21,12 +19,12 @@ import (
 // the placement optimizer sees the other jobs' allocations through device
 // free-capacity. Contention is therefore emergent, not modeled.
 //
-// RunAll is the *virtual-contention* multi-job mode: members run
-// job-after-job, each queueing behind the backlog its predecessors absorbed
-// into the shared epoch, so interference (stretch) is observable in the
-// reports. The Server's default batch mode makes the opposite trade —
-// overlapped wall-clock execution with virtual isolation per member (see
-// server.go); its Sequential knob recovers these RunAll semantics.
+// RunAll is the *virtual-contention* multi-job mode, a BatchSequential
+// batch of the executor (exec.go): members run job-after-job, each queueing
+// behind the backlog its predecessors absorbed into the shared epoch, so
+// interference (stretch) is observable in the reports. The Server's default
+// batch mode makes the opposite trade — overlapped wall-clock execution
+// with virtual isolation per member (see server.go).
 
 // JobResult pairs a job's report with isolation diagnostics.
 type JobResult struct {
@@ -74,48 +72,6 @@ type MultiConfig struct {
 	ComputeStretch bool
 }
 
-// newLoad builds an empty per-device core-availability estimate.
-func (rt *Runtime) newLoad() map[string][]time.Duration {
-	load := make(map[string][]time.Duration)
-	for _, c := range rt.topo.Computes() {
-		load[c.ID] = make([]time.Duration, c.Cores)
-	}
-	return load
-}
-
-// scheduleInto plans one job against the accumulating load of previously
-// admitted jobs, folding the new plan back into load — how the runtime
-// packs concurrently submitted jobs across the cluster. A load-aware
-// scheduler is used when available.
-func (rt *Runtime) scheduleInto(j *dataflow.Job, load map[string][]time.Duration) (*sched.Schedule, error) {
-	loadAware, _ := rt.sched.(interface {
-		ScheduleLoaded(*dataflow.Job, *topology.Topology, map[string][]time.Duration) (*sched.Schedule, error)
-	})
-	var schedule *sched.Schedule
-	var err error
-	if loadAware != nil {
-		schedule, err = loadAware.ScheduleLoaded(j, rt.topo, load)
-	} else {
-		schedule, err = rt.sched.Schedule(j, rt.topo)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range schedule.Assignments {
-		cores := load[a.Compute]
-		idx := 0
-		for i := range cores {
-			if cores[i] < cores[idx] {
-				idx = i
-			}
-		}
-		if a.Finish > cores[idx] {
-			cores[idx] = a.Finish
-		}
-	}
-	return schedule, nil
-}
-
 // RunAll executes several jobs concurrently on this runtime's shared
 // topology. Job names must be unique (they namespace region owners and
 // job-level globals).
@@ -137,62 +93,35 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job, cfg MultiConfig) (*MultiReport, 
 		}
 	}
 
-	// One fresh virtual-time epoch shared by every job below — contention
-	// between the jobs is the point; isolation from *other* batches and
-	// concurrent Runs comes from the epoch being private to this call.
-	epoch := rt.topo.NewEpoch()
-	// Shared core availability across all jobs.
-	cores := make(map[string][]time.Duration)
-	for _, c := range rt.topo.Computes() {
-		cores[c.ID] = make([]time.Duration, c.Cores)
+	// One sequential batch: a fresh epoch private to this call, shared core
+	// clocks, plans packed against the accumulating load, and jobs run in
+	// admission order. RunAll is fail-fast: after the first failure every
+	// later member's probe cancels it before it starts. (No member is live
+	// when settle records a failure, so the probe reads firstErr safely.)
+	var firstErr error
+	stop := func() error { return firstErr }
+	ms := make([]*member, len(jobs))
+	for i, j := range jobs {
+		ms[i] = &member{job: j, ns: j.Name(), cancel: stop}
 	}
-
-	load := rt.newLoad()
-	runs := make([]*run, 0, len(jobs))
-	orders := make([][]*dataflow.Task, 0, len(jobs))
-	rankSets := make([]map[string]int, 0, len(jobs))
-	for _, j := range jobs {
-		schedule, err := rt.scheduleInto(j, load)
-		if err != nil {
-			return nil, fmt.Errorf("core: scheduling %s: %w", j.Name(), err)
+	out := &MultiReport{Jobs: make(map[string]*JobResult, len(jobs))}
+	rt.execBatch(ms, BatchSequential, nil, func(m *member) {
+		switch {
+		case m.canceled: // stopped by an earlier failure
+		case m.err != nil:
+			firstErr = m.taskErr()
+		default:
+			out.Jobs[m.job.Name()] = &JobResult{Report: m.r.report}
+			out.Makespan = max(out.Makespan, m.r.report.Makespan)
 		}
-		r := rt.newRun(j, schedule, epoch, j.Name(), cores)
-		ranks, order, err := sched.Ranks(j)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-		orders = append(orders, order)
-		rankSets = append(rankSets, ranks)
-	}
-
-	// Each job's DAG executes as a parallel wavefront over the shared core
-	// clocks; jobs run in admission order, and every completed job's clock
-	// views are absorbed into the shared epoch, so later jobs queue behind
-	// its device backlog — contention stays emergent and deterministic.
-	for i, r := range runs {
-		if failed, err := r.runWavefront(orders[i], rankSets[i], rt.workers, nil); err != nil {
-			for _, rr := range runs {
-				rr.cleanup()
-			}
-			if failed != "" {
-				return nil, fmt.Errorf("core: job %s task %s: %w", r.job.Name(), failed, err)
-			}
-			return nil, fmt.Errorf("core: job %s: %w", r.job.Name(), err)
-		}
-	}
-
-	out := &MultiReport{Jobs: make(map[string]*JobResult, len(runs))}
-	for _, r := range runs {
-		if r.report.Makespan > out.Makespan {
-			out.Makespan = r.report.Makespan
-		}
-		out.Jobs[r.job.Name()] = &JobResult{Report: r.report}
+	})
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	if cfg.ComputeStretch {
-		for i, j := range jobs {
-			iso, err := New(Config{Scheduler: rt.sched})
+		for _, j := range jobs {
+			iso, err := New(ExecConfig{Scheduler: rt.sched})
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +131,7 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job, cfg MultiConfig) (*MultiReport, 
 			}
 			out.SumIsolated += rep.Makespan
 			if rep.Makespan > 0 {
-				out.Jobs[j.Name()].Stretch = float64(runs[i].report.Makespan) / float64(rep.Makespan)
+				out.Jobs[j.Name()].Stretch = float64(out.Jobs[j.Name()].Report.Makespan) / float64(rep.Makespan)
 			}
 		}
 	}

@@ -144,7 +144,7 @@ func TestRunAllDeterministic(t *testing.T) {
 }
 
 func BenchmarkRunAllJobMix(b *testing.B) {
-	rt, err := New(Config{})
+	rt, err := New(ExecConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

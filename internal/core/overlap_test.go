@@ -93,7 +93,7 @@ func requireSoloEqual(t *testing.T, label string, got, solo *Report) {
 func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 	solo := make([]*Report, 0, 4)
 	for _, j := range overlapMixJobs() {
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 		// Repeat each pool size a few times: a race that perturbs virtual
 		// time is unlikely to strike the first run.
 		for rep := 0; rep < 3; rep++ {
-			rt, err := New(Config{Workers: w})
+			rt, err := New(ExecConfig{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestServeOverlapFaultIsolation(t *testing.T) {
 		return boom
 	})
 
-	rt, err := New(Config{Workers: 4})
+	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestServeOverlapFaultIsolation(t *testing.T) {
 
 func mustSoloRun(t *testing.T, j *dataflow.Job) *Report {
 	t.Helper()
-	rt, err := New(Config{Workers: 1})
+	rt, err := New(ExecConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,17 +293,17 @@ func TestServeOverlapRecoveryIsolation(t *testing.T) {
 	}
 }
 
-// TestServeSequentialModeMatchesRunAll pins the legacy knob: with
-// ServerConfig.Sequential the batch runs job-after-job against the shared
+// TestServeSequentialModeMatchesRunAll pins the sequential policy: with
+// Batching: BatchSequential the batch runs job-after-job against the shared
 // epoch backlog (RunAll's virtual-contention semantics) and reports say so.
 func TestServeSequentialModeMatchesRunAll(t *testing.T) {
-	rt, err := New(Config{Workers: 1})
+	rt, err := New(ExecConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewServer(ServerConfig{
 		Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
-		Sequential: true,
+		Batching: BatchSequential,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +436,7 @@ func BenchmarkServeOverlap(b *testing.B) {
 	// pool-size-invariant, so job names cannot matter either.
 	refs := make([]time.Duration, 4)
 	for i, j := range batch(-1) {
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,14 +448,14 @@ func BenchmarkServeOverlap(b *testing.B) {
 	}
 	for _, mode := range []string{"overlap", "sequential"} {
 		b.Run(mode, func(b *testing.B) {
-			rt, err := New(Config{Workers: 4})
+			rt, err := New(ExecConfig{Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
 			s, err := NewServer(ServerConfig{
 				Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
-				MaxLinger:  5 * time.Millisecond,
-				Sequential: mode == "sequential",
+				MaxLinger: 5 * time.Millisecond,
+				Batching:  map[string]BatchMode{"overlap": BatchOverlapped, "sequential": BatchSequential}[mode],
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -92,7 +92,7 @@ func runReplay(t *testing.T, job *dataflow.Job, workers int, kills map[string]in
 	for task, n := range kills {
 		inj.Kill(task, n)
 	}
-	rt, err := New(Config{Inject: inj, Workers: workers})
+	rt, err := New(ExecConfig{Inject: inj, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,41 +114,92 @@ func runReplay(t *testing.T, job *dataflow.Job, workers int, kills map[string]in
 	return rep, attempts, rt
 }
 
+// serveReplay serves job once on a fresh single-epoch-worker server with
+// the given worker bound, targeted kills and replay mode, checkpointing
+// into the same kind of store runReplay uses.
+func serveReplay(t *testing.T, job *dataflow.Job, workers int, kills map[string]int, partial bool) *Report {
+	t.Helper()
+	inj := fault.NewInjector(1, 0, 1)
+	for task, n := range kills {
+		inj.Kill(task, n)
+	}
+	rt, err := New(ExecConfig{Inject: inj, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, _ := newCkStore(t)
+	s, err := NewServer(ServerConfig{
+		Runtime: rt, EpochWorkers: 1,
+		Recovery: &RecoveryPolicy{Checkpointer: ck, MaxAttempts: 3, PartialReplay: partial},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background()) //nolint:errcheck
+	rep, err := s.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatalf("served partial=%v workers=%d: %v", partial, workers, err)
+	}
+	return rep
+}
+
 // TestPartialReplayMatchesFullReplay is the headline determinism gate: for
 // every worker-pool size, a retried job's report under partial replay is
 // byte-identical to the same retry under full replay — and identical
-// across pool sizes. The sink re-executes and verifies real payload bytes,
-// so the equality also proves lazy hydration delivered the checkpointed
-// data, not the placeholder.
+// across pool sizes — and a served retry of the same job with the same
+// kill renders byte-identically too, because every entry point resumes a
+// retry on the failed attempt's rewound core clocks. The 40-chain cases
+// are wider than the CPU's 32 cores, so their retries claim cores the
+// failed attempt used. The sink re-executes and verifies real payload
+// bytes, so the equality also proves lazy hydration delivered the
+// checkpointed data, not the placeholder.
 func TestPartialReplayMatchesFullReplay(t *testing.T) {
-	const width, depth = 4, 3
-	var want *Report
-	for _, w := range []int{1, 4, goruntime.GOMAXPROCS(0)} {
-		full, fullAttempts, _ := runReplay(t, patternJob("chains", width, depth), w, map[string]int{"sink": 1}, false, 3)
-		part, partAttempts, _ := runReplay(t, patternJob("chains", width, depth), w, map[string]int{"sink": 1}, true, 3)
-		if fullAttempts != 2 || partAttempts != 2 {
-			t.Fatalf("workers=%d: attempts full=%d partial=%d, want 2", w, fullAttempts, partAttempts)
-		}
-		if !reflect.DeepEqual(full, part) {
-			for id := range full.Tasks {
-				if !reflect.DeepEqual(full.Tasks[id], part.Tasks[id]) {
-					t.Errorf("workers=%d task %s:\nfull    %+v\npartial %+v", w, id, full.Tasks[id], part.Tasks[id])
+	for _, tc := range []struct {
+		width, depth int
+		kill         string
+	}{
+		{4, 3, "sink"},
+		{40, 2, "sink"},
+		{40, 2, "c3s1"},
+		{40, 2, "c39s0"},
+	} {
+		kills := map[string]int{tc.kill: 1}
+		var want *Report
+		for _, w := range []int{1, 4, goruntime.GOMAXPROCS(0)} {
+			name := fmt.Sprintf("width=%d kill=%s workers=%d", tc.width, tc.kill, w)
+			full, fullAttempts, _ := runReplay(t, patternJob("chains", tc.width, tc.depth), w, kills, false, 3)
+			part, partAttempts, _ := runReplay(t, patternJob("chains", tc.width, tc.depth), w, kills, true, 3)
+			if fullAttempts != 2 || partAttempts != 2 {
+				t.Fatalf("%s: attempts full=%d partial=%d, want 2", name, fullAttempts, partAttempts)
+			}
+			if !reflect.DeepEqual(full, part) {
+				for id := range full.Tasks {
+					if !reflect.DeepEqual(full.Tasks[id], part.Tasks[id]) {
+						t.Errorf("%s task %s:\nfull    %+v\npartial %+v", name, id, full.Tasks[id], part.Tasks[id])
+					}
+				}
+				t.Fatalf("%s: partial report diverges from full:\nfull    %+v\npartial %+v", name, full, part)
+			}
+			if tc.kill == "sink" && (part.SkippedTasks != tc.width*tc.depth || part.ReplayedTasks != 1) {
+				t.Errorf("%s: skipped/replayed = %d/%d, want %d/1", name, part.SkippedTasks, part.ReplayedTasks, tc.width*tc.depth)
+			}
+			if part.SkippedTasks+part.ReplayedTasks != len(part.Tasks) {
+				t.Errorf("%s: skipped %d + replayed %d != %d tasks", name, part.SkippedTasks, part.ReplayedTasks, len(part.Tasks))
+			}
+			for _, partial := range []bool{false, true} {
+				served := serveReplay(t, patternJob("chains", tc.width, tc.depth), w, kills, partial)
+				if served.Attempts != 2 || served.String() != full.String() {
+					t.Errorf("%s partial=%v: served retry (attempts %d, makespan %v) diverges from RunWithRecovery (makespan %v)",
+						name, partial, served.Attempts, served.Makespan, full.Makespan)
 				}
 			}
-			t.Fatalf("workers=%d: partial report diverges from full:\nfull    %+v\npartial %+v", w, full, part)
-		}
-		if part.SkippedTasks != width*depth {
-			t.Errorf("workers=%d: SkippedTasks = %d, want %d", w, part.SkippedTasks, width*depth)
-		}
-		if part.ReplayedTasks != 1 {
-			t.Errorf("workers=%d: ReplayedTasks = %d, want 1", w, part.ReplayedTasks)
-		}
-		if want == nil {
-			want = part
-			continue
-		}
-		if !reflect.DeepEqual(part, want) {
-			t.Fatalf("workers=%d: report diverges across pool sizes:\n%+v\n!=\n%+v", w, part, want)
+			if want == nil {
+				want = part
+				continue
+			}
+			if !reflect.DeepEqual(part, want) {
+				t.Fatalf("%s: report diverges across pool sizes:\n%+v\n!=\n%+v", name, part, want)
+			}
 		}
 	}
 }
@@ -221,7 +272,7 @@ func TestServePartialReplayOverlappedMatchesFull(t *testing.T) {
 	serve := func(partial bool) []*Report {
 		inj := fault.NewInjector(1, 0, 1)
 		inj.Kill("sink", 2) // first executions: pa's attempt 1, pb's attempt 1
-		rt, err := New(Config{Inject: inj, Workers: 4})
+		rt, err := New(ExecConfig{Inject: inj, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +372,7 @@ func BenchmarkRecoverPartial(b *testing.B) {
 	for _, mode := range []string{"full", "partial"} {
 		b.Run(mode, func(b *testing.B) {
 			inj := fault.NewInjector(1, 0, 1)
-			rt, err := New(Config{Inject: inj, Workers: 4})
+			rt, err := New(ExecConfig{Inject: inj, Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -362,7 +413,7 @@ func BenchmarkRecoverPartial(b *testing.B) {
 func TestRunWithPartialReplayAPI(t *testing.T) {
 	inj := fault.NewInjector(1, 0, 1)
 	inj.Kill("sink", 1)
-	rt, err := New(Config{Inject: inj})
+	rt, err := New(ExecConfig{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +433,7 @@ func TestRunWithPartialReplayAPI(t *testing.T) {
 	}
 
 	// No fault: one attempt, nothing skipped or replayed.
-	rt2, err := New(Config{})
+	rt2, err := New(ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func rackRuntime(t *testing.T, nodes, memNodes int) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(Config{Topology: topo})
+	rt, err := New(ExecConfig{Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // a runtime carrying the given injector.
 func newRecoveryServer(t *testing.T, inj *fault.Injector, pol RecoveryPolicy, cfg ServerConfig) *Server {
 	t.Helper()
-	rt, err := New(Config{Inject: inj})
+	rt, err := New(ExecConfig{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestServeRecoveryConcurrentStress(t *testing.T) {
 // same injected workload without a RecoveryPolicy fails its submitters.
 func TestServeWithoutRecoverySurfacesFault(t *testing.T) {
 	inj := fault.NewInjector(1, 1.0, 1)
-	rt, err := New(Config{Inject: inj})
+	rt, err := New(ExecConfig{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCheckpointerConcurrentSameNameJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rt, err := New(Config{})
+			rt, err := New(ExecConfig{})
 			if err != nil {
 				results[i].err = err
 				return
@@ -320,12 +320,14 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 
 	// Simulate a prior attempt that checkpointed produce's output with an
 	// empty payload (hasOutput=true, zero bytes).
-	id := ck.runID(j.Name())
+	id := ck.NewRunID(j.Name())
 	if _, err := ck.snapshot(id, "produce", nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.execute(j, ck, id, false); err != nil {
-		t.Fatal(err)
+	m := &member{job: j, ns: j.Name(), ckID: id}
+	rt.execBatch([]*member{m}, BatchOverlapped, &RecoveryPolicy{Checkpointer: ck, MaxAttempts: 1}, func(*member) {})
+	if m.err != nil {
+		t.Fatal(m.taskErr())
 	}
 	if inputs := <-got; inputs != 1 {
 		t.Errorf("consumer saw %d inputs, want 1 (empty snapshot must still deliver)", inputs)

@@ -59,10 +59,6 @@ type ExecConfig struct {
 	Workers int
 }
 
-// Config is the historical name of ExecConfig, kept as an alias so existing
-// Runtime constructors keep compiling unchanged.
-type Config = ExecConfig
-
 // Runtime is the RTS instance. Run is safe for concurrent submission from
 // multiple goroutines: each call executes in its own virtual-time epoch
 // (fresh device queues), so jobs never corrupt each other's clocks. For
@@ -78,7 +74,7 @@ type Runtime struct {
 }
 
 // New builds a runtime.
-func New(cfg Config) (*Runtime, error) {
+func New(cfg ExecConfig) (*Runtime, error) {
 	topo := cfg.Topology
 	if topo == nil {
 		t, err := topology.BuildSingleNode(topology.DefaultSingleNode())
@@ -167,7 +163,7 @@ type Report struct {
 	BatchIndex int
 	// Overlapped reports whether the batch executed its members
 	// concurrently on a shared worker pool (the Server's default) rather
-	// than job-after-job (ServerConfig.Sequential).
+	// than job-after-job (BatchSequential).
 	Overlapped bool
 	// SLODeadline, SLOWait, and SLOPredicted are the deadline this
 	// submission was admitted against, the admission model's predicted
@@ -249,18 +245,17 @@ type run struct {
 	schedule *sched.Schedule
 	// epoch is the virtual-time view this run's accesses queue against.
 	// Runs in different epochs are fully isolated; runs sharing one epoch
-	// (RunAll, Server batches) contend on the same device queues.
+	// (sequential batches) contend on the same device queues.
 	epoch *topology.Epoch
-	// ns namespaces region owners. Defaults to the job name; the Server
+	// ns namespaces region owners. The job name outside serving; the Server
 	// makes it unique per submission so identical jobs can run in one
 	// shared epoch without their owners colliding.
 	ns string
 	// base is the earliest virtual time any task of this run may start —
 	// recovery retries use it to model per-attempt backoff on the epoch
 	// clock without perturbing batch mates.
-	base   time.Duration
-	cores  map[string][]time.Duration
-	finish map[string]time.Duration
+	base  time.Duration
+	cores map[string][]time.Duration
 	// smu guards the cross-task shared maps (pending, globals) and the
 	// memory ledger against concurrent wavefront task goroutines. It is a
 	// leaf lock: nothing is called while holding it.
@@ -277,7 +272,6 @@ type run struct {
 	// computePeak sweeps it deterministically at run end (wavefront.go).
 	events []memEvent
 	report *Report
-	peak   map[string]int64
 	ck     *Checkpointer // nil unless recovery drives the run
 	ckID   string        // unique per-submission snapshot namespace
 	// partial selects lazy restore I/O on replay: a replayed task's output
@@ -288,57 +282,46 @@ type run struct {
 	// lazy maps a replayed producer's task ID to its re-materialized
 	// output's restore state. Written by replay task goroutines, read by
 	// consuming task goroutines (both guarded by smu).
-	lazy   map[string]*lazyRestore
-	inject *fault.Injector
+	lazy map[string]*lazyRestore
 }
 
 // Run executes the job to completion on the virtual clock and returns the
 // report. On task failure every live region is released before returning
 // (no leaks), and the error identifies the failing task.
 func (rt *Runtime) Run(job *dataflow.Job) (*Report, error) {
-	return rt.execute(job, nil, "", false)
+	m, err := rt.runOne(job, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.r.report, nil
 }
 
-// execute is the shared engine behind Run, RunWithRecovery, and
-// RunWithPartialReplay. ckID is the snapshot namespace of this submission
-// (one per recovery call, so retries replay their own attempt's checkpoints
-// and nobody else's); partial selects lazy restore I/O on replay.
-func (rt *Runtime) execute(job *dataflow.Job, ck *Checkpointer, ckID string, partial bool) (*Report, error) {
+// runOne executes job as an overlapped batch of one in a fresh epoch, so
+// concurrent calls are isolated, retrying under rec (nil: one attempt).
+// Region owners are namespaced by the job name. It is the engine behind
+// Run, RunWithRecovery, and RunWithPartialReplay; the returned member
+// carries the attempt count even when the error is non-nil.
+func (rt *Runtime) runOne(job *dataflow.Job, rec *RecoveryPolicy) (*member, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	// Each run gets a fresh virtual-time epoch: device service queues start
-	// drained and never touch the shared topology, so concurrent Runs are
-	// isolated. (RunAll and Server batches share one epoch across their
-	// jobs — that is where contention is the point.)
-	schedule, err := rt.sched.Schedule(job, rt.topo)
-	if err != nil {
-		return nil, err
+	m := &member{job: job, ns: job.Name()}
+	if rec != nil {
+		m.ckID = rec.Checkpointer.NewRunID(job.Name())
 	}
-	ranks, order, err := sched.Ranks(job)
-	if err != nil {
-		return nil, err
+	rt.execBatch([]*member{m}, BatchOverlapped, rec, func(*member) {})
+	if m.failed != "" {
+		return m, fmt.Errorf("core: task %s: %w", m.failed, m.err)
 	}
-	r := rt.newRun(job, schedule, rt.topo.NewEpoch(), job.Name(), nil)
-	r.ck, r.ckID, r.partial = ck, ckID, partial
-	if failed, err := r.runWavefront(order, ranks, rt.workers, nil); err != nil {
-		if failed != "" {
-			return nil, fmt.Errorf("core: task %s: %w", failed, err)
-		}
-		return nil, err
-	}
-	return r.report, nil
+	return m, m.err
 }
 
 // newRun assembles per-job execution state. cores may be shared between
-// runs (RunAll, Server batches); nil gets this run its own fresh core
+// runs (sequential batches, retries); nil gets this run its own fresh core
 // availability. ns namespaces region owners (see run.ns).
 func (rt *Runtime) newRun(job *dataflow.Job, schedule *sched.Schedule, epoch *topology.Epoch, ns string, cores map[string][]time.Duration) *run {
 	if cores == nil {
-		cores = make(map[string][]time.Duration)
-		for _, c := range rt.topo.Computes() {
-			cores[c.ID] = make([]time.Duration, c.Cores)
-		}
+		cores = rt.newCores()
 	}
 	return &run{
 		rt:       rt,
@@ -347,12 +330,9 @@ func (rt *Runtime) newRun(job *dataflow.Job, schedule *sched.Schedule, epoch *to
 		epoch:    epoch,
 		ns:       ns,
 		cores:    cores,
-		finish:   make(map[string]time.Duration),
 		pending:  make(map[string]map[string]*region.Handle),
 		globals:  make(map[string]*globalEntry),
 		lazy:     make(map[string]*lazyRestore),
-		peak:     make(map[string]int64),
-		inject:   rt.inject,
 		report: &Report{
 			Job: job.Name(), Scheduler: rt.sched.Name(), Placer: rt.placer.Name(),
 			Tasks:        make(map[string]*TaskReport),
@@ -391,9 +371,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 	for _, p := range t.Preds() {
 		r.smu.Lock()
 		h := r.pending[t.ID()][p.ID()]
-		if h != nil {
-			delete(r.pending[t.ID()], p.ID())
-		}
+		delete(r.pending[t.ID()], p.ID())
 		lr := r.lazy[p.ID()]
 		r.smu.Unlock()
 		if h == nil {
@@ -430,7 +408,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 	}
 
 	// Fault injection happened eagerly at wavefront start (rank-ordered
-	// verdicts, see runWavefront): a task that reaches this point passed.
+	// verdicts, see newWavefront): a task that reaches this point passed.
 	// Run the body; structural tasks (nil fn) still cost their declared
 	// Ops and produce their declared output.
 	if fn := t.Fn(); fn != nil {
@@ -495,16 +473,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 		// it always has.
 		r.ck.record(r.ckID, t.ID(), ctx.ckRestoreCost)
 	}
-	rep := &TaskReport{
-		Task: t.ID(), Compute: asg.Compute,
-		Start: start, Finish: ctx.now,
-		Regions: ctx.regions, Logs: ctx.logs,
-	}
-	r.rt.tel.Record(telemetry.Span{
-		Layer: telemetry.LayerRuntime, Job: r.job.Name(), Task: t.ID(),
-		Name: "exec", Start: start, End: ctx.now,
-	})
-	return ctx.now, rep, errors.Join(relErrs...)
+	return ctx.now, ctx.report(start, telemetry.LayerRuntime, "exec"), errors.Join(relErrs...)
 }
 
 // deliverOutput routes a finished task's output region to its successors:

@@ -14,14 +14,14 @@ package core
 //     worker pool: every member's ready tasks compete for the shared slots
 //     in deterministic (rank, submission) order while each member's virtual
 //     time stays byte-identical to running the job alone
-//     (ServerConfig.Sequential restores job-after-job RunAll-style
+//     (Batching: BatchSequential restores job-after-job RunAll-style
 //     contention; separate batches are fully isolated either way),
 //   - per-job context cancellation and deadlines, honored while queued and
 //     between tasks during execution,
 //   - optional fault-tolerant execution (ServerConfig.Recovery): task
 //     outputs are checkpointed into a shared fault.Store and failed jobs
-//     are retried inside the worker's epoch with checkpointed tasks
-//     restored instead of re-executed (challenge 8(3)),
+//     are retried inside the batch with checkpointed tasks restored
+//     instead of re-executed (challenge 8(3)),
 //   - graceful drain on Close, and
 //   - per-job admission / queue-wait / rejection counters plus spans in the
 //     runtime's telemetry registry, so the serving path is observable.
@@ -42,7 +42,6 @@ import (
 	"repro/internal/region"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 )
 
 // Errors reported by the serving layer.
@@ -93,20 +92,15 @@ type ServerConfig struct {
 	// zero value) overlaps whole jobs on the batch's shared worker pool
 	// with virtual isolation: every member's virtual-time report is
 	// computed as if it ran alone, and batch mates contend only for
-	// wall-clock resources. BatchSequential is the legacy mode: members
-	// execute job-after-job over shared core clocks and epoch backlog,
-	// each queueing behind its predecessors (RunAll semantics — virtual
+	// wall-clock resources. BatchSequential executes members
+	// job-after-job over shared core clocks and epoch backlog, each
+	// queueing behind its predecessors (RunAll semantics — virtual
 	// contention inside the batch).
 	Batching BatchMode
-	// Sequential is the legacy spelling of Batching == BatchSequential.
-	//
-	// Deprecated: compatibility alias, equivalent to setting Batching to
-	// BatchSequential (either selects the sequential mode).
-	Sequential bool
 	// Recovery, when set, makes every admitted job run fault-tolerantly:
 	// task outputs are checkpointed into the policy's store and a failed
-	// job is retried in place (restored tasks replayed inside the worker's
-	// epoch) up to MaxAttempts. Nil disables recovery: failures surface
+	// job is retried in place (restored tasks replayed inside its batch)
+	// up to MaxAttempts. Nil disables recovery: failures surface
 	// directly to the submitter.
 	Recovery *RecoveryPolicy
 	// SLO, when set, makes admission deadline-aware: every submission is
@@ -170,32 +164,19 @@ type RecoveryPolicy struct {
 	PartialReplay bool
 }
 
-// recoveryState is the resolved serving-side recovery machinery.
-type recoveryState struct {
-	ck          *Checkpointer
-	maxAttempts int
-	backoff     time.Duration
-	cap         time.Duration
-	partial     bool
-}
-
 // backoffWait is the virtual-time delay inserted before the retry that
 // follows a failed attempt (1-based): backoff·2^(attempt-1), capped.
-func backoffWait(rec *recoveryState, attempt int) time.Duration {
-	if rec.backoff <= 0 {
+func backoffWait(rec *RecoveryPolicy, attempt int) time.Duration {
+	if rec.Backoff <= 0 {
 		return 0
 	}
-	w := rec.backoff
-	for i := 1; i < attempt; i++ {
-		w <<= 1
-		if w >= rec.cap || w <= 0 { // cap reached or shift overflowed
-			return rec.cap
+	w := rec.Backoff
+	for i := 1; i < attempt && w < rec.BackoffCap; i++ {
+		if w <<= 1; w <= 0 { // the shift overflowed
+			return rec.BackoffCap
 		}
 	}
-	if w > rec.cap {
-		return rec.cap
-	}
-	return w
+	return min(w, rec.BackoffCap)
 }
 
 // Ticket is an asynchronously admitted submission, returned by SubmitAsync.
@@ -284,15 +265,15 @@ type jobTicket struct {
 // Server is the admission-controlled serving engine. It is safe for
 // concurrent use by multiple goroutines.
 type Server struct {
-	rt         *Runtime
-	workers    int // configured EpochWorkers (the auto-scaler's baseline)
-	maxBatch   int
-	block      bool
-	maxLinger  time.Duration
-	sequential bool
-	rec        *recoveryState // nil: recovery disabled
-	slo        *sloState      // nil: admission is deadline-blind
-	scaler     *scaler        // nil: fixed worker pool
+	rt        *Runtime
+	workers   int // configured EpochWorkers (the auto-scaler's baseline)
+	maxBatch  int
+	block     bool
+	maxLinger time.Duration
+	batching  BatchMode
+	rec       *RecoveryPolicy // nil: recovery disabled
+	slo       *sloState       // nil: admission is deadline-blind
+	scaler    *scaler         // nil: fixed worker pool
 
 	queue chan *jobTicket
 	// shrink carries the auto-scaler's scale-down tokens; a worker that
@@ -332,45 +313,35 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if maxBatch <= 0 {
 		maxBatch = 8
 	}
-	var rec *recoveryState
+	var rec *RecoveryPolicy // resolved copy: Checkpointer set, defaults applied
 	if cfg.Recovery != nil {
-		ck := cfg.Recovery.Checkpointer
-		if ck == nil {
-			store := cfg.Recovery.Store
-			if store == nil {
+		p := *cfg.Recovery
+		if p.Checkpointer == nil {
+			if p.Store == nil {
 				var err error
-				store, err = defaultFaultStore()
-				if err != nil {
+				if p.Store, err = defaultFaultStore(); err != nil {
 					return nil, err
 				}
 			}
-			ck = NewCheckpointer(store)
+			p.Checkpointer = NewCheckpointer(p.Store)
 		}
-		maxAttempts := cfg.Recovery.MaxAttempts
-		if maxAttempts <= 0 {
-			maxAttempts = 3
+		if p.MaxAttempts <= 0 {
+			p.MaxAttempts = 3
 		}
-		cap := cfg.Recovery.BackoffCap
-		if cap <= 0 {
-			cap = 8 * cfg.Recovery.Backoff
+		if p.BackoffCap <= 0 {
+			p.BackoffCap = 8 * p.Backoff
 		}
-		rec = &recoveryState{
-			ck:          ck,
-			maxAttempts: maxAttempts,
-			backoff:     cfg.Recovery.Backoff,
-			cap:         cap,
-			partial:     cfg.Recovery.PartialReplay,
-		}
+		rec = &p
 	}
 	s := &Server{
-		rt:         rt,
-		workers:    workers,
-		maxBatch:   maxBatch,
-		block:      cfg.Block,
-		maxLinger:  cfg.MaxLinger,
-		sequential: cfg.Sequential || cfg.Batching == BatchSequential,
-		rec:        rec,
-		queue:      make(chan *jobTicket, depth),
+		rt:        rt,
+		workers:   workers,
+		maxBatch:  maxBatch,
+		block:     cfg.Block,
+		maxLinger: cfg.MaxLinger,
+		batching:  cfg.Batching,
+		rec:       rec,
+		queue:     make(chan *jobTicket, depth),
 	}
 	if cfg.SLO != nil {
 		s.slo = newSLOState(*cfg.SLO, workers)
@@ -408,7 +379,7 @@ func (s *Server) Checkpointer() *Checkpointer {
 	if s.rec == nil {
 		return nil
 	}
-	return s.rec.ck
+	return s.rec.Checkpointer
 }
 
 // resolveOpts folds a variadic options list into the single effective
@@ -448,16 +419,8 @@ func (s *Server) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...Sub
 	return s.submitAsync(ctx, job, opt)
 }
 
-// SubmitAsyncOpts is SubmitAsync with exactly one explicit SubmitOptions.
-//
-// Deprecated: pass the options directly to SubmitAsync, which now accepts
-// them variadically. Kept as a thin compatibility wrapper.
-func (s *Server) SubmitAsyncOpts(ctx context.Context, job *dataflow.Job, opt SubmitOptions) (*Ticket, error) {
-	return s.submitAsync(ctx, job, opt)
-}
-
-// submitAsync is the single admission path behind Submit, SubmitAsync,
-// SubmitAsyncOpts, and (per window) SubmitStream.
+// submitAsync is the single admission path behind Submit, SubmitAsync, and
+// (per window) SubmitStream.
 func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitOptions) (*Ticket, error) {
 	if job == nil {
 		return nil, errors.New("core: nil job")
@@ -507,29 +470,27 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 	}
 
 	s.gate.RLock()
-	if s.closed {
-		s.gate.RUnlock()
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
-		return nil, ErrServerClosed
-	}
-	if s.block {
+	var refused error
+	switch {
+	case s.closed:
+		refused = ErrServerClosed
+	case s.block:
 		select {
 		case s.queue <- t:
-			s.gate.RUnlock()
 		case <-ctx.Done():
-			s.gate.RUnlock()
-			s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
-			return nil, ctx.Err()
+			refused = ctx.Err()
 		}
-	} else {
+	default:
 		select {
 		case s.queue <- t:
-			s.gate.RUnlock()
 		default:
-			s.gate.RUnlock()
-			s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
-			return nil, ErrQueueFull
+			refused = ErrQueueFull
 		}
+	}
+	s.gate.RUnlock()
+	if refused != nil {
+		s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
+		return nil, refused
 	}
 	s.rt.tel.Add(telemetry.LayerRuntime, "server_admitted", 1)
 	return t.tk, nil
@@ -591,7 +552,7 @@ func (s *Server) worker() {
 			if !ok {
 				return
 			}
-			s.runBatch(s.collect(t))
+			s.serveBatch(s.collect(t))
 		case <-s.shrink: // nil without a scaler: never ready
 			return
 		}
@@ -606,35 +567,35 @@ func (s *Server) worker() {
 // Tickets whose context ended while queued are finished here and never
 // occupy a batch slot: a dead job must not displace a live one from the
 // epoch, nor stretch the linger wait of the jobs it rides with. The batch
-// may come back empty (every candidate was dead); runBatch no-ops on it.
+// may come back empty (every candidate was dead); serveBatch no-ops on it.
 func (s *Server) collect(first *jobTicket) []*jobTicket {
 	batch := s.appendLive(nil, first)
+	var linger <-chan time.Time
 	if s.maxLinger > 0 {
 		timer := time.NewTimer(s.maxLinger)
 		defer timer.Stop()
-		for len(batch) < s.maxBatch {
-			select {
-			case t, ok := <-s.queue:
-				if !ok {
-					return batch
-				}
-				batch = s.appendLive(batch, t)
-			case <-timer.C:
-				return batch
-			}
-		}
-		return batch
+		linger = timer.C
 	}
 	for len(batch) < s.maxBatch {
-		select {
-		case t, ok := <-s.queue:
-			if !ok {
+		var t *jobTicket
+		ok := true
+		if linger != nil {
+			select {
+			case t, ok = <-s.queue:
+			case <-linger:
 				return batch
 			}
-			batch = s.appendLive(batch, t)
-		default:
+		} else {
+			select {
+			case t, ok = <-s.queue:
+			default:
+				return batch
+			}
+		}
+		if !ok {
 			return batch
 		}
+		batch = s.appendLive(batch, t)
 	}
 	return batch
 }
@@ -662,22 +623,10 @@ func (s *Server) noteQueueWait(d time.Duration) {
 	}
 }
 
-// liveJob is one batch member's execution state.
-type liveJob struct {
-	t          *jobTicket
-	r          *run
-	order      []*dataflow.Task
-	ranks      map[string]int
-	waits      []time.Duration // virtual backoff applied before each retry
-	attempt    int             // 1-based; >1 means recovery retried this submission
-	batchSize  int             // members this batch executed (Report.BatchSize)
-	batchIndex int             // this member's admission position (Report.BatchIndex)
-	overlapped bool            // executed on the shared pool, not job-after-job
-}
-
-// runBatch plans one batch and hands it to the mode-specific executor.
-// Failures and cancellations are isolated per job: the failing run's
-// regions are released and only its submitter sees the error.
+// serveBatch hands one collected batch to the batch executor (exec.go) in
+// the server's batch mode. Failures and cancellations are isolated per job:
+// the failing run's regions are released and only its submitter sees the
+// error.
 //
 // The two modes differ in what batch mates share. Sequential: one core
 // clock map and the epoch's accumulated backlog — members queue behind each
@@ -686,14 +635,15 @@ type liveJob struct {
 // member's virtual-time report is byte-identical to running the job alone
 // at any pool size; mates contend only for wall-clock resources (the
 // shared worker pool, the allocator, the checkpoint store).
-func (s *Server) runBatch(batch []*jobTicket) {
+func (s *Server) serveBatch(batch []*jobTicket) {
 	rt := s.rt
 	dequeued := time.Now()
 
 	// Queue-wait accounting; jobs whose context ended between collect and
 	// here (collect already dropped those dead while queued) are finished
 	// without ever executing.
-	admitted := batch[:0]
+	live := make(map[*member]*jobTicket, len(batch))
+	ms := make([]*member, 0, len(batch))
 	for _, t := range batch {
 		s.noteQueueWait(dequeued.Sub(t.enqueued))
 		if err := t.ctx.Err(); err != nil {
@@ -701,317 +651,68 @@ func (s *Server) runBatch(batch []*jobTicket) {
 			t.tk.deliver(nil, err)
 			continue
 		}
-		admitted = append(admitted, t)
+		// A unique owner namespace per submission lets identical jobs share
+		// the epoch without region-owner collisions. Overlapped members
+		// reuse the SLO admission plan: it was made against an idle
+		// machine, exactly the plan they would get.
+		m := &member{
+			job: t.job, ns: fmt.Sprintf("%s#%d", t.job.Name(), t.tk.id),
+			plan: t.plan, cancel: t.ctx.Err,
+		}
+		if s.rec != nil {
+			// A submission carrying an external ResumeID adopts that
+			// namespace: snapshots a previous (dead-shard) attempt persisted
+			// there are restored rather than re-executed, and a cancel
+			// leaves them to the namespace owner (the router's failover).
+			m.ckID, m.keepCk = t.resume, t.resume != ""
+			if m.ckID == "" {
+				m.ckID = s.rec.Checkpointer.NewRunID(t.job.Name())
+			}
+		}
+		live[m] = t
+		ms = append(ms, m)
 	}
-	if len(admitted) == 0 {
+	if len(ms) == 0 {
 		return
 	}
 	rt.tel.Add(telemetry.LayerRuntime, "server_epochs", 1)
-
-	// Plan every member; a scheduling failure only fails its own job.
-	epoch := rt.topo.NewEpoch()
-	var cores map[string][]time.Duration
-	if s.sequential {
-		cores = make(map[string][]time.Duration)
-		for _, c := range rt.topo.Computes() {
-			cores[c.ID] = make([]time.Duration, c.Cores)
-		}
-	}
-	load := rt.newLoad()
-	lives := make([]*liveJob, 0, len(admitted))
-	for _, t := range admitted {
-		var schedule *sched.Schedule
-		var err error
+	rt.execBatch(ms, s.batching, s.rec, func(m *member) {
+		t := live[m]
 		switch {
-		case s.sequential:
-			// Members queue behind each other: plan against the batch's
-			// accumulating load.
-			schedule, err = rt.scheduleInto(t.job, load)
-		case t.plan != nil:
-			// SLO admission already planned this job against an idle
-			// machine — exactly the empty-load plan overlapped members use —
-			// so reuse it rather than paying HEFT twice per submission.
-			schedule = t.plan
+		case m.canceled:
+			rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
+			t.tk.deliver(nil, m.err)
+		case m.err != nil:
+			rt.tel.Add(telemetry.LayerRuntime, "server_failed", 1)
+			t.tk.deliver(nil, m.taskErr())
 		default:
-			// Virtual isolation extends to planning: an empty load per
-			// member yields the same plan the job would get alone, which is
-			// what makes overlapped reports identical to solo runs.
-			schedule, err = rt.scheduleInto(t.job, rt.newLoad())
+			s.complete(t, m)
 		}
-		if err != nil {
-			s.fail(t, fmt.Errorf("core: scheduling %s: %w", t.job.Name(), err))
-			continue
-		}
-		ranks, order, err := sched.Ranks(t.job)
-		if err != nil {
-			s.fail(t, err)
-			continue
-		}
-		// A unique owner namespace per submission lets identical jobs
-		// share the epoch without region-owner collisions.
-		ns := fmt.Sprintf("%s#%d", t.job.Name(), t.tk.id)
-		r := rt.newRun(t.job, schedule, epoch, ns, cores) // nil cores → private clocks
-		if s.rec != nil {
-			// The snapshot namespace is unique per submission, so
-			// same-named jobs in flight never cross-restore or
-			// cross-Forget each other's checkpoints. A submission carrying
-			// an external ResumeID adopts that namespace instead: snapshots
-			// a previous (dead-shard) attempt persisted there are restored
-			// rather than re-executed.
-			ckID := t.resume
-			if ckID == "" {
-				ckID = s.rec.ck.runID(t.job.Name())
-			}
-			r.ck, r.ckID = s.rec.ck, ckID
-			r.partial = s.rec.partial
-		}
-		lives = append(lives, &liveJob{t: t, r: r, order: order, ranks: ranks, attempt: 1})
-	}
-	for i, l := range lives {
-		l.batchSize, l.batchIndex, l.overlapped = len(lives), i, !s.sequential
-	}
-	if len(lives) == 0 {
-		return
-	}
-	if s.sequential {
-		s.runBatchSequential(lives, epoch, cores)
-		return
-	}
-	s.runBatchOverlapped(lives, epoch)
+	})
 }
 
-// runBatchSequential executes batch members job-after-job over the shared
-// cores and epoch; jobs run in admission order, each queueing behind the
-// clock views its completed batch mates absorbed into the epoch. Failures
-// and retries stay per job.
-func (s *Server) runBatchSequential(lives []*liveJob, epoch *topology.Epoch, cores map[string][]time.Duration) {
-	rt := s.rt
-	for _, l := range lives {
-		for {
-			failed, err := l.r.runWavefront(l.order, l.ranks, rt.workers, l.t.ctx.Err)
-			if err == nil {
-				s.complete(l)
-				break
-			}
-			if failed == "" && l.t.ctx.Err() != nil {
-				// Canceled mid-wavefront: the run was already cleaned up.
-				s.forgetCanceled(l)
-				rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
-				l.t.tk.deliver(nil, err)
-				break
-			}
-			// Recovery: retry in place, inside this worker's epoch. The
-			// fresh run shares the batch's cores and device queues;
-			// checkpointed tasks are restored instead of re-executed, and
-			// the exponential backoff pushes the retry's start on the
-			// virtual clock.
-			if s.rec != nil && l.attempt < s.rec.maxAttempts && l.t.ctx.Err() == nil {
-				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
-				wait := backoffWait(s.rec, l.attempt)
-				nr := rt.newRun(l.t.job, l.r.schedule, epoch, l.r.ns, cores)
-				nr.ck, nr.ckID = l.r.ck, l.r.ckID
-				nr.partial = s.rec.partial
-				nr.base = l.r.base + wait
-				l.waits = append(l.waits, wait)
-				l.r = nr
-				l.attempt++
-				continue
-			}
-			s.forget(l.r)
-			if failed != "" {
-				s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed, err))
-			} else {
-				s.fail(l.t, err)
-			}
-			break
-		}
-	}
-}
-
-// runBatchOverlapped executes all batch members concurrently on one shared
-// worker pool: every member's ready tasks compete for the pool's slots in
-// deterministic (rank, submission) order, so narrow phases of one job are
-// overlapped with its mates' work instead of idling the pool. Virtual
-// isolation keeps every member's report byte-identical to running the job
-// alone: each member prices against its own clone of the batch-start epoch
-// snapshot and its own core clocks, so a mate's failure, retry, or mere
-// presence never perturbs anyone else's virtual time. Recovery retries are
-// attached to the live pool as fresh members, overlapping with the rest of
-// the batch instead of serializing behind it; each retry inherits its
-// predecessor attempt's (deterministically rewound) core clocks and
-// checkpoints, exactly like the sequential path.
-func (s *Server) runBatchOverlapped(lives []*liveJob, epoch *topology.Epoch) {
-	rt := s.rt
-	// Batch-start snapshot: every member and every retry seeds from a clone
-	// of this view, never from a live epoch read that could see a mate's
-	// mid-flight absorbs.
-	seed := epoch.View()
-	p := newWavePool(rt.workers)
-	members := make(map[*wavefront]*liveJob, len(lives))
-	var active []*wavefront
-	for _, l := range lives {
-		sv := topology.GetTaskView(seed)
-		w, failed, err := l.r.newWavefront(l.order, l.ranks, l.t.ctx.Err, sv)
-		if err != nil {
-			topology.PutTaskView(sv)
-			l.r.cleanup()
-			s.forget(l.r)
-			s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed, err))
-			continue
-		}
-		p.attach(w)
-		members[w] = l
-		active = append(active, w)
-	}
-	if len(active) == 0 {
-		return
-	}
-
-	p.mu.Lock()
-	// Grant every member's initial claims before the first launch so the
-	// pool's (rank, submission) tiebreak sees the whole batch at once.
-	for _, w := range active {
-		w.advance()
-	}
-	p.launch()
-	for len(active) > 0 {
-		var drained []*wavefront
-		rest := active[:0]
-		for _, w := range active {
-			if w.drainedLocked() {
-				drained = append(drained, w)
-			} else {
-				rest = append(rest, w)
-			}
-		}
-		active = rest
-		if len(drained) == 0 {
-			p.cond.Wait()
-			continue
-		}
-		// Finalize drained members outside the pool lock: finalization does
-		// region teardown and checkpoint-store I/O, and the pool must keep
-		// dispatching the still-live members meanwhile.
-		p.mu.Unlock()
-		var retries []*wavefront
-		for _, w := range drained {
-			l := members[w]
-			failed, err := w.finalize()
-			if err == nil {
-				s.complete(l)
-				continue
-			}
-			if failed == "" && l.t.ctx.Err() != nil {
-				// Canceled mid-wavefront: the run was already cleaned up.
-				s.forgetCanceled(l)
-				rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
-				l.t.tk.deliver(nil, err)
-				continue
-			}
-			if s.rec != nil && l.attempt < s.rec.maxAttempts && l.t.ctx.Err() == nil {
-				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
-				wait := backoffWait(s.rec, l.attempt)
-				nr := rt.newRun(l.t.job, l.r.schedule, epoch, l.r.ns, l.r.cores)
-				nr.ck, nr.ckID = l.r.ck, l.r.ckID
-				nr.partial = s.rec.partial
-				nr.base = l.r.base + wait
-				l.waits = append(l.waits, wait)
-				l.r = nr
-				l.attempt++
-				sv := topology.GetTaskView(seed)
-				w2, failed2, err2 := nr.newWavefront(l.order, l.ranks, l.t.ctx.Err, sv)
-				if err2 != nil {
-					topology.PutTaskView(sv)
-					nr.cleanup()
-					s.forget(nr)
-					s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed2, err2))
-					continue
-				}
-				members[w2] = l
-				retries = append(retries, w2)
-				continue
-			}
-			s.forget(l.r)
-			if failed != "" {
-				s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed, err))
-			} else {
-				s.fail(l.t, err)
-			}
-		}
-		p.mu.Lock()
-		for _, w := range retries {
-			p.attach(w)
-			active = append(active, w)
-			w.advance()
-		}
-		if len(retries) > 0 {
-			p.launch()
-		}
-	}
-	p.mu.Unlock()
-	topology.PutTaskView(seed)
-}
-
-// fail delivers an error outcome.
-func (s *Server) fail(t *jobTicket, err error) {
-	s.rt.tel.Add(telemetry.LayerRuntime, "server_failed", 1)
-	t.tk.deliver(nil, err)
-}
-
-// forget drops a terminated submission's snapshots so the checkpointer
-// drains back to zero entries. No-op without recovery.
-func (s *Server) forget(r *run) {
-	if s.rec != nil && r.ckID != "" {
-		s.rec.ck.Forget(r.ckID)
-	}
-}
-
-// forgetCanceled is forget for a canceled run, except when the submission
-// adopted an external checkpoint namespace (SubmitOptions.ResumeID): a
-// shard being killed cancels its in-flight jobs, and the snapshots they
-// persisted are exactly what the router's failover re-submission replays on
-// a survivor — the namespace owner forgets them, not the dying shard.
-func (s *Server) forgetCanceled(l *liveJob) {
-	if l.t.resume != "" {
-		return
-	}
-	s.forget(l.r)
-}
-
-// complete finalizes a finished run and delivers its report. Recovered
-// jobs (attempt > 1) are distinguished in spans and counters so replayed
-// work is visible in the serving profile.
-func (s *Server) complete(l *liveJob) {
-	// runWavefront already released the run's regions and finalized its
-	// peak-memory and makespan figures.
-	s.forget(l.r)
-	l.r.report.Attempts = l.attempt
-	l.r.report.AttemptWaits = l.waits
-	l.r.report.BatchSize = l.batchSize
-	l.r.report.BatchIndex = l.batchIndex
-	l.r.report.Overlapped = l.overlapped
-	l.r.report.SLODeadline = l.t.deadline
-	l.r.report.SLOWait = l.t.slowait
-	l.r.report.SLOPredicted = l.t.predicted
-	l.r.report.BestEffort = l.t.bestEffort
-	l.r.report.Shard = l.t.shard
+// complete decorates a finished member's report with its serving metadata
+// and delivers it. Recovered jobs — retried, or resuming a dead shard's
+// checkpoints — are distinguished in spans and counters so replayed work
+// is visible in the serving profile.
+func (s *Server) complete(t *jobTicket, m *member) {
+	rep := m.r.report
+	rep.Attempts = m.attempt
+	rep.AttemptWaits = m.waits
+	rep.BatchSize, rep.BatchIndex = m.size, m.pos
+	rep.Overlapped = s.batching == BatchOverlapped
+	rep.SLODeadline, rep.SLOWait, rep.SLOPredicted = t.deadline, t.slowait, t.predicted
+	rep.BestEffort = t.bestEffort
+	rep.Shard = t.shard
 	span := "serve"
-	if l.attempt > 1 {
+	if m.attempt > 1 || rep.SkippedTasks > 0 {
 		span = "serve-recovered"
-		l.r.report.ReplayedTasks = len(l.r.report.Tasks) - l.r.report.SkippedTasks
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_recovered", 1)
-	} else if l.r.report.SkippedTasks > 0 {
-		// First local attempt, yet tasks were restored: a failover
-		// re-submission (SubmitOptions.ResumeID) replaying what a dead
-		// shard checkpointed.
-		span = "serve-recovered"
-		l.r.report.ReplayedTasks = len(l.r.report.Tasks) - l.r.report.SkippedTasks
 		s.rt.tel.Add(telemetry.LayerRuntime, "server_recovered", 1)
 	}
 	s.rt.tel.Add(telemetry.LayerRuntime, "server_completed", 1)
 	s.rt.tel.Record(telemetry.Span{
-		Layer: telemetry.LayerRuntime, Job: l.t.job.Name(),
-		Name: span, Start: 0, End: l.r.report.Makespan,
+		Layer: telemetry.LayerRuntime, Job: t.job.Name(),
+		Name: span, Start: 0, End: rep.Makespan,
 	})
-	l.t.tk.deliver(l.r.report, nil)
+	t.tk.deliver(rep, nil)
 }

@@ -119,7 +119,7 @@ func TestCollectCanceledTicketFreesBatchSlot(t *testing.T) {
 }
 
 // TestCollectEntireBatchCanceled: when every queued ticket is dead the
-// batch comes back empty and runBatch must no-op — subsequent live
+// batch comes back empty and serveBatch must no-op — subsequent live
 // submissions still serve normally.
 func TestCollectEntireBatchCanceled(t *testing.T) {
 	s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 4, QueueDepth: 8})

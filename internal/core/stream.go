@@ -219,7 +219,7 @@ func (s *Server) SubmitStream(ctx context.Context, spec stream.Spec, opts ...Sub
 
 	id := opt.ResumeID
 	if id == "" && s.rec != nil {
-		id = s.rec.ck.NewRunID(spec.Name)
+		id = s.rec.Checkpointer.NewRunID(spec.Name)
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	t := &StreamTicket{
@@ -267,10 +267,13 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 		}
 		if s.rec != nil && t.id != "" {
 			if canceled := errors.Is(err, ErrStreamCanceled); !canceled {
-				s.rec.ck.Forget(t.id)
+				s.rec.Checkpointer.Forget(t.id)
 			}
 		}
 	}
+
+	// canceled is the terminal error of a stream whose context ended.
+	canceled := func() error { return fmt.Errorf("%w: %w", ErrStreamCanceled, context.Cause(ctx)) }
 
 	for {
 		// Fill the pipeline up to the in-flight bound. The source is only
@@ -299,12 +302,19 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 					// mid-flight at the crash, but how far they got is
 					// wall-clock accident — drop their state so the resumed
 					// run is a function of the marker high-water mark alone.
-					s.rec.ck.Forget(wopt.ResumeID)
+					s.rec.Checkpointer.Forget(wopt.ResumeID)
 				}
 			}
 			tk, err := s.SubmitAsync(ctx, job, wopt)
 			if err != nil {
-				terminate(fmt.Errorf("core: stream %s window %d: %w", spec.Name, next, err))
+				// A cancel landing after the loop's ctx check makes
+				// SubmitAsync refuse the window: that is a cancel too.
+				if ctx.Err() != nil {
+					err = canceled()
+				} else {
+					err = fmt.Errorf("core: stream %s window %d: %w", spec.Name, next, err)
+				}
+				terminate(err)
 				return
 			}
 			q = append(q, inflight{idx: next, tk: tk})
@@ -312,7 +322,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 		}
 		if len(q) == 0 {
 			if ctx.Err() != nil && !eof && !t.draining() {
-				terminate(fmt.Errorf("%w: %w", ErrStreamCanceled, context.Cause(ctx)))
+				terminate(canceled())
 				return
 			}
 			terminate(nil) // clean drain: source exhausted, everything retired
@@ -324,7 +334,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 		rep, err := head.tk.Wait(nil)
 		if err != nil {
 			if ctx.Err() != nil {
-				terminate(fmt.Errorf("%w: %w", ErrStreamCanceled, context.Cause(ctx)))
+				terminate(canceled())
 				return
 			}
 			terminate(fmt.Errorf("core: stream %s window %d: %w", spec.Name, head.idx, err))
@@ -338,7 +348,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 			// losing it.
 			payload := make([]byte, 8)
 			binary.BigEndian.PutUint64(payload, uint64(rep.Makespan))
-			if _, err := s.rec.ck.snapshot(t.id, streamMarker(head.idx), payload, true); err != nil {
+			if _, err := s.rec.Checkpointer.snapshot(t.id, streamMarker(head.idx), payload, true); err != nil {
 				terminate(err)
 				return
 			}
@@ -351,7 +361,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 		select {
 		case t.reports <- rep:
 		case <-ctx.Done():
-			terminate(fmt.Errorf("%w: %w", ErrStreamCanceled, context.Cause(ctx)))
+			terminate(canceled())
 			return
 		}
 	}
@@ -370,10 +380,10 @@ func (s *Server) streamResumeScan(spec stream.Spec, t *StreamTicket, resumed boo
 	}
 	next := 0
 	for {
-		if _, ok := s.rec.ck.lookup(t.id, streamMarker(next)); !ok {
+		if _, ok := s.rec.Checkpointer.lookup(t.id, streamMarker(next)); !ok {
 			break
 		}
-		data, _, _, err := s.rec.ck.restore(t.id, streamMarker(next))
+		data, _, _, err := s.rec.Checkpointer.restore(t.id, streamMarker(next))
 		if err != nil {
 			t.setErr(err)
 			return 0, false

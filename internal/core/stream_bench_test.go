@@ -29,7 +29,7 @@ func BenchmarkStreamServe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkStreamServe(b *testing.B) {
 
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rt, err := New(Config{})
+			rt, err := New(ExecConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -84,7 +84,7 @@ func TestStreamReportsMatchSoloAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,6 +191,41 @@ func TestStreamCancelMidWindowDrains(t *testing.T) {
 	}
 }
 
+// TestStreamCancelDuringPull is the regression test for the cancel race:
+// the stream's context is canceled while the source is being pulled, so the
+// window cut from that pull reaches SubmitAsync on a dead context. The
+// stream must still end with ErrStreamCanceled wrapping the cause, not the
+// refused submission's error.
+func TestStreamCancelDuringPull(t *testing.T) {
+	s := newTestServer(t, ServerConfig{EpochWorkers: 2, MaxBatch: 4, Block: true})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := chainEvents(8 * 8)
+	pulls := 0
+	src := stream.SourceFunc(func() (stream.Event, bool) {
+		pulls++
+		if pulls == 2*8+1 { // the first event of window 2
+			cancel()
+		}
+		if len(events) == 0 {
+			return stream.Event{}, false
+		}
+		ev := events[0]
+		events = events[1:]
+		return ev, true
+	})
+	tk, err := s.SubmitStream(ctx, chainSpec("cancel-pull", src, 8, 4, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range tk.Reports() { //nolint:revive // draining until close
+	}
+	<-tk.Done()
+	if err := tk.Err(); !errors.Is(err, ErrStreamCanceled) || !errors.Is(err, context.Canceled) {
+		t.Errorf("Err = %v, want ErrStreamCanceled wrapping context.Canceled", err)
+	}
+}
+
 // TestSubmitStreamValidation pins the submission-surface errors.
 func TestSubmitStreamValidation(t *testing.T) {
 	s := newTestServer(t, ServerConfig{EpochWorkers: 1})
@@ -227,7 +262,7 @@ func TestSubmitStreamValidation(t *testing.T) {
 // transform — the resumed run is identical at any pool size.
 func crashResume(t *testing.T, workers int) (crashed, resumed *StreamTicket, resumedReps []*Report) {
 	t.Helper()
-	rt, err := New(Config{})
+	rt, err := New(ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +360,7 @@ func TestStreamCrashResume(t *testing.T) {
 
 	// Post-crash-point windows are byte-identical to an uninterrupted
 	// stream on an identical serving stack (same recovery pricing).
-	rt, err := New(Config{})
+	rt, err := New(ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,10 @@ type taskCtx struct {
 	regions      map[string]string // label → device (for the report)
 	logs         []string
 
-	// view is the task's private causal clock view (wavefront executor);
-	// nil falls back to the run's shared epoch. rank is the task's
-	// deterministic topological rank, fence its rank-order barrier — both
-	// are installed by the dispatcher.
+	// view is the task's private causal clock view, the one its
+	// allocations and accesses are priced against. rank is the task's
+	// deterministic topological rank, fence its rank-order barrier — all
+	// three are installed by the dispatcher.
 	view  *topology.TaskView
 	rank  int
 	fence region.Fence
@@ -48,13 +48,17 @@ type taskCtx struct {
 	ckRestoreCost time.Duration
 }
 
-// clock is the virtual-time view this task's allocations and accesses are
-// priced against.
-func (c *taskCtx) clock() topology.VClock {
-	if c.view != nil {
-		return c.view
+// report records the task's span and returns its report: it ran (or was
+// restored) from start to the task's current virtual time.
+func (c *taskCtx) report(start time.Duration, layer telemetry.Layer, span string) *TaskReport {
+	c.run.rt.tel.Record(telemetry.Span{
+		Layer: layer, Job: c.run.job.Name(), Task: c.task.ID(),
+		Name: span, Start: start, End: c.now,
+	})
+	return &TaskReport{
+		Task: c.task.ID(), Compute: c.compute.ID, Start: start, Finish: c.now,
+		Regions: c.regions, Logs: c.logs,
 	}
-	return c.run.epoch
 }
 
 // Now implements dataflow.Ctx.
@@ -114,12 +118,12 @@ func (c *taskCtx) Scratch(name string, size int64) (*region.Handle, error) {
 	h, err := c.run.rt.regions.Alloc(region.Spec{
 		Name: name, Class: class, Size: size,
 		Req: req, Owner: c.owner, Compute: c.compute.ID, Now: c.now,
-		Clock: c.clock(),
+		Clock: c.view,
 	})
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.clock(), c.rank, c.fence)
+	h.Rebind(c.view, c.rank, c.fence)
 	c.noteAlloc(h, size)
 	c.scratch = append(c.scratch, h)
 	c.noteRegion(name, h)
@@ -145,12 +149,12 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 	h, err := c.run.rt.regions.Alloc(region.Spec{
 		Name: c.task.ID() + "/out", Class: class, Size: size,
 		Req: req, Owner: c.owner, Compute: c.compute.ID, Now: c.now,
-		Clock: c.clock(),
+		Clock: c.view,
 	})
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.clock(), c.rank, c.fence)
+	h.Rebind(c.view, c.rank, c.fence)
 	c.noteAlloc(h, size)
 	c.output = h
 	c.noteRegion("out", h)
@@ -211,7 +215,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 				h, err := c.run.rt.regions.Alloc(region.Spec{
 					Name: name, Class: class, Size: size,
 					Owner: region.Owner(c.run.ns), Compute: c.pinCompute(dev),
-					Device: dev, Clock: c.clock(),
+					Device: dev, Clock: c.view,
 				})
 				if err == nil {
 					g = &globalEntry{handle: h, class: class, shared: map[string]*region.Handle{}}
@@ -222,7 +226,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 			h, err := c.run.rt.regions.Alloc(region.Spec{
 				Name: name, Class: class, Size: size,
 				Owner: region.Owner(c.run.ns), Compute: c.compute.ID,
-				Clock: c.clock(),
+				Clock: c.view,
 			})
 			if err != nil {
 				return nil, err
@@ -242,7 +246,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 	}
 	// The share inherited the creator's clock view; rebind it to this
 	// task's own before any access is priced through it.
-	sh.Rebind(c.clock(), c.rank, c.fence)
+	sh.Rebind(c.view, c.rank, c.fence)
 	c.noteShare(sh)
 	c.globalShares[name] = sh
 	c.noteRegion(name, sh)

@@ -3,7 +3,7 @@ package core
 // This file implements the dependency-driven wavefront executor that
 // replaced the sequential task loop. A per-run dispatcher tracks each
 // task's unmet predecessor count and launches every ready task on a bounded
-// worker pool (Config.Workers goroutines), so independent DAG branches
+// worker pool (ExecConfig.Workers goroutines), so independent DAG branches
 // execute their *real* work — region transfers, memsim copies, checkpoint
 // store I/O, task Fn bodies — concurrently, while *virtual* time stays
 // byte-for-byte deterministic.
@@ -41,16 +41,16 @@ package core
 //     run's core clocks are rewound to the deterministic post-failure state
 //     so recovery replays exactly what a sequential run would have.
 //
-// A wavefront executes inside a wavePool. Runtime.Run and RunAll drive a
-// pool with a single member; the Server's overlapped batch mode attaches
-// every batch member (and every recovery retry) to one shared pool, so many
-// jobs' ready tasks compete for the same bounded worker slots concurrently.
-// Determinism generalizes from one job to N because everything virtual is
-// per member — seed views, core clocks, claim ledgers, fences, failure
-// frontiers — and the only shared state, the pool's wall-clock worker
-// slots, never feeds back into virtual time. Cross-member dispatch order is
-// itself deterministic: the pool launches the lowest (rank, submission
-// sequence) claimed task (sched.BatchBefore).
+// A wavefront executes inside a wavePool, driven by the batch executor
+// (exec.go). An overlapped batch attaches every member (and every recovery
+// retry) to one shared pool, so many jobs' ready tasks compete for the same
+// bounded worker slots concurrently; a sequential batch attaches one member
+// at a time. Determinism generalizes from one job to N because everything
+// virtual is per member — seed views, core clocks, claim ledgers, fences,
+// failure frontiers — and the only shared state, the pool's wall-clock
+// worker slots, never feeds back into virtual time. Cross-member dispatch
+// order is itself deterministic: the pool launches the lowest (rank,
+// submission sequence) claimed task (sched.BatchBefore).
 //
 // Peak device memory is likewise virtualized: tasks journal alloc / share /
 // release / migrate events stamped with (virtual time, rank, sequence), and
@@ -113,12 +113,11 @@ type memEvent struct {
 }
 
 // wavePool arbitrates one bounded worker pool across one or more
-// concurrently executing wavefronts — one member per batch submission when
-// the Server overlaps jobs, exactly one for Runtime.Run and RunAll. Members
-// share the pool's lock, condition variable, and worker slots; everything
-// virtual (core clocks, claim ledgers, seed views, fences, failure
-// frontiers) stays per member, which is what keeps each job's virtual time
-// independent of its batch mates. The pool always launches the claimed task
+// concurrently executing wavefronts — one member per attempt of a batch
+// submission (exec.go). Members share the pool's lock, condition variable,
+// and worker slots; everything virtual (core clocks, claim ledgers, seed
+// views, fences, failure frontiers) stays per member, which is what keeps
+// each job's virtual time independent of its batch mates. The pool always launches the claimed task
 // with the lowest (rank, member sequence) pair — sched.BatchBefore — so
 // cross-member dispatch ties resolve by submission order, never by
 // wall-clock races; the tiebreak shapes only wall-clock interleaving, since
@@ -130,7 +129,8 @@ type wavePool struct {
 	// fenced task resumes before a launch completes, matching the bounded
 	// overshoot the single-job dispatcher always had.
 	slots   int
-	members []*wavefront
+	members []*wavefront // attached and not yet drained, in attach order
+	nseq    int          // next submission sequence
 }
 
 // newWavePool builds a pool with the given worker bound (minimum 1).
@@ -143,12 +143,35 @@ func newWavePool(workers int) *wavePool {
 	return p
 }
 
-// attach registers a member, assigning its submission sequence. Callers
-// either hold p.mu or are the only goroutine aware of the pool yet.
+// attach registers a member, assigning its submission sequence. Caller
+// holds p.mu.
 func (p *wavePool) attach(w *wavefront) {
 	w.pool = p
-	w.seq = len(p.members)
+	w.seq = p.nseq
+	p.nseq++
 	p.members = append(p.members, w)
+}
+
+// takeDrained waits until at least one member has drained, detaches every
+// drained member and returns them in attach order. Caller holds p.mu.
+func (p *wavePool) takeDrained() []*wavefront {
+	for {
+		var drained []*wavefront
+		keep := p.members[:0]
+		for _, w := range p.members {
+			if w.drainedLocked() {
+				drained = append(drained, w)
+			} else {
+				keep = append(keep, w)
+			}
+		}
+		clear(p.members[len(keep):])
+		p.members = keep
+		if len(drained) > 0 {
+			return drained
+		}
+		p.cond.Wait()
+	}
 }
 
 // launch starts claimed tasks while worker slots are free, always picking
@@ -179,10 +202,10 @@ func (p *wavePool) launch() {
 
 // wavefront is one run's dispatcher state — one member of a wavePool.
 type wavefront struct {
-	r      *run
-	pool   *wavePool
-	seq    int          // submission sequence within the pool (dispatch tiebreak)
-	cancel func() error // per-submission cancellation probe (Server); nil never cancels
+	r    *run
+	m    *member // the batch member this attempt belongs to
+	pool *wavePool
+	seq  int // submission sequence within the pool (dispatch tiebreak)
 
 	// seed is the epoch snapshot every task of this run prices against
 	// (merged with predecessor views). Snapshotting once — instead of
@@ -202,9 +225,9 @@ type wavefront struct {
 	devs     map[string]*sched.ClaimLedger
 
 	state      []taskState
-	unmet      []int           // remaining predecessor count
-	ready      []bool          // rank is tsReady (the claim ledger's grant mask)
-	readyAt    []time.Duration // max predecessor finish (virtual)
+	unmet      []int                // remaining predecessor count
+	ready      []bool               // rank is tsReady (the claim ledger's grant mask)
+	readyAt    []time.Duration      // max predecessor finish (virtual)
 	views      []*topology.TaskView // final clock views of done tasks
 	finish     []time.Duration
 	restored   []bool // checkpointed in a prior attempt: restore, don't run
@@ -222,52 +245,33 @@ type wavefront struct {
 	canceled error
 }
 
-// runWavefront executes the run's whole DAG on a single-member pool and
-// blocks until it drains — the Runtime.Run / RunAll / sequential-batch
-// engine. On success the run's report (peak memory, makespan) is finalized
-// and every task's clock view is absorbed into the epoch; on failure every
-// live region is released and the returned task/error pair identifies the
-// lowest-rank failure. A cancellation (cancel returning non-nil) surfaces
-// as failedTask == "" with the probe's error.
-func (r *run) runWavefront(order []*dataflow.Task, ranks map[string]int, workers int, cancel func() error) (failedTask string, err error) {
-	w, failed, err := r.newWavefront(order, ranks, cancel, r.epoch.View())
-	if err != nil {
-		r.cleanup()
-		return failed, err
+// checkPlan verifies that plan places every task of order on a known
+// compute device, so scheduling gaps surface as task errors rather than
+// mid-flight panics. It returns the first offending task.
+func (rt *Runtime) checkPlan(plan *sched.Schedule, order []*dataflow.Task) (string, error) {
+	for _, t := range order {
+		asg, ok := plan.Assignments[t.ID()]
+		if !ok {
+			return t.ID(), errors.New("core: task missing from schedule")
+		}
+		if _, ok := rt.topo.Compute(asg.Compute); !ok {
+			return t.ID(), fmt.Errorf("core: scheduled on unknown device %s", asg.Compute)
+		}
 	}
-	p := newWavePool(workers)
-	p.attach(w)
-	p.mu.Lock()
-	w.pump()
-	for !w.drainedLocked() {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-	return w.finalize()
+	return "", nil
 }
 
-// newWavefront validates the run's plan and assembles its dispatcher state:
-// per-device claim queues, predecessor counts, the causal seed view, the
-// core-clock snapshot failure rewinds restore, and the eager rank-ordered
-// injection / restore pre-pass. The returned wavefront is not yet attached
-// to a pool. On a validation error the failing task's ID is returned and
-// the caller owns run cleanup.
-func (r *run) newWavefront(order []*dataflow.Task, ranks map[string]int, cancel func() error, seed *topology.TaskView) (*wavefront, string, error) {
-	// Validate the plan up front so scheduling gaps surface as task errors
-	// rather than mid-flight panics.
-	for _, t := range order {
-		asg, ok := r.schedule.Assignments[t.ID()]
-		if !ok {
-			return nil, t.ID(), errors.New("core: task missing from schedule")
-		}
-		if _, ok := r.rt.topo.Compute(asg.Compute); !ok {
-			return nil, t.ID(), fmt.Errorf("core: scheduled on unknown device %s", asg.Compute)
-		}
-	}
+// newWavefront assembles the dispatcher state of m's current attempt (m.r,
+// over a checked plan): per-device claim queues, predecessor counts, a
+// clone of m's seed snapshot, the core-clock snapshot failure rewinds
+// restore, and the eager rank-ordered injection / restore pre-pass. The
+// returned wavefront is not yet attached to a pool.
+func newWavefront(m *member) *wavefront {
+	r, order := m.r, m.order
 	n := len(order)
 	w := &wavefront{
-		r: r, cancel: cancel, seed: seed,
-		order: order, rank: ranks,
+		r: r, m: m, seed: topology.GetTaskView(m.seed),
+		order: order, rank: m.ranks,
 		devOf: make([]string, n), devs: make(map[string]*sched.ClaimLedger),
 		state: make([]taskState, n), unmet: make([]int, n), ready: make([]bool, n),
 		readyAt: make([]time.Duration, n), views: make([]*topology.TaskView, n),
@@ -280,7 +284,7 @@ func (r *run) newWavefront(order []*dataflow.Task, ranks map[string]int, cancel 
 	for dev, cs := range r.cores {
 		w.baseCores[dev] = append([]time.Duration(nil), cs...)
 	}
-	r.ranks = ranks
+	r.ranks = m.ranks
 	for k, t := range order {
 		dev := r.schedule.Assignments[t.ID()].Compute
 		w.devOf[k] = dev
@@ -312,8 +316,8 @@ func (r *run) newWavefront(order []*dataflow.Task, ranks map[string]int, cancel 
 				continue
 			}
 		}
-		if r.inject != nil {
-			if err := r.inject.Step(r.ns, t.ID()); err != nil {
+		if r.rt.inject != nil {
+			if err := r.rt.inject.Step(r.ns, t.ID()); err != nil {
 				w.failRank, w.failErr, w.failTask = k, err, t.ID()
 				w.state[k] = tsFailed
 				w.ready[k] = false
@@ -321,7 +325,7 @@ func (r *run) newWavefront(order []*dataflow.Task, ranks map[string]int, cancel 
 			}
 		}
 	}
-	return w, "", nil
+	return w
 }
 
 // finalize settles a drained wavefront: releases the run's regions and, on
@@ -367,14 +371,13 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 	}
 
 	// Success: fold every task's clock view back into the epoch so batch
-	// mates that run after this job queue behind its device backlog
-	// (sequential batches and RunAll; overlapped members never re-read the
-	// epoch, so for them this is inert bookkeeping).
+	// mates attached after this job queue behind its device backlog
+	// (sequential batches; overlapped members snapshot the epoch before any
+	// mate finishes, so for them this is inert bookkeeping).
 	r.epoch.AbsorbViews(w.views...)
 	r.cleanup()
 	w.recycleViews()
-	r.computePeak()
-	r.report.PeakDeviceBytes = r.peak
+	r.report.PeakDeviceBytes = r.computePeak()
 	for k := range w.restored {
 		if w.restored[k] {
 			r.report.SkippedTasks++
@@ -416,21 +419,13 @@ func (w *wavefront) drainedLocked() bool {
 	return w.done == len(w.order)
 }
 
-// pump advances this member (claim granting, cancellation probe, failure
-// revocation) and then lets the pool launch whatever is now dispatchable —
-// across all members. Caller holds the pool lock.
-func (w *wavefront) pump() {
-	w.advance()
-	w.pool.launch()
-}
-
 // advance grants core claims in rank order per device, probes cancellation,
 // and revokes claims orphaned by a failure. It never launches; the pool
 // does, so cross-member dispatch order stays deterministic. Caller holds
 // the pool lock.
 func (w *wavefront) advance() {
-	if w.cancel != nil && w.canceled == nil {
-		if err := w.cancel(); err != nil {
+	if w.m.cancel != nil && w.canceled == nil {
+		if err := w.m.cancel(); err != nil {
 			w.canceled = err
 			w.pool.cond.Broadcast()
 		}
@@ -519,7 +514,6 @@ func (w *wavefront) runTask(k int) {
 		w.reported[k] = true
 		w.r.cores[dev][w.claimCore[k]] = fin
 		w.finish[k] = fin
-		w.r.finish[t.ID()] = fin
 		w.r.report.Tasks[t.ID()] = rep
 	}
 	if err != nil {
@@ -549,7 +543,8 @@ func (w *wavefront) runTask(k int) {
 			w.frontier++
 		}
 	}
-	w.pump()
+	w.advance()
+	p.launch()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -575,7 +570,8 @@ func (w *wavefront) fence(k int, deps []int) error {
 		return nil
 	}
 	p.slots++
-	w.pump()
+	w.advance()
+	p.launch()
 	for !w.fenceOpenLocked(k, deps) {
 		if w.failRank >= 0 && w.failRank < k {
 			p.slots--
@@ -611,10 +607,10 @@ func (w *wavefront) fenceOpenLocked(k int, deps []int) bool {
 }
 
 // computePeak sweeps the run's virtual memory ledger in deterministic
-// (time, rank, seq) order and records the per-device high-water mark.
+// (time, rank, seq) order and returns the per-device high-water mark.
 // Regions never released (job globals, retained final outputs) stay live
 // through the end of the sweep, matching their actual lifetime.
-func (r *run) computePeak() {
+func (r *run) computePeak() map[string]int64 {
 	r.smu.Lock()
 	events := r.events
 	r.events = nil
@@ -636,9 +632,10 @@ func (r *run) computePeak() {
 	}
 	live := make(map[region.ID]*liveRegion)
 	cur := make(map[string]int64)
+	peak := make(map[string]int64)
 	bump := func(dev string) {
-		if cur[dev] > r.peak[dev] {
-			r.peak[dev] = cur[dev]
+		if cur[dev] > peak[dev] {
+			peak[dev] = cur[dev]
 		}
 	}
 	for _, e := range events {
@@ -668,6 +665,7 @@ func (r *run) computePeak() {
 			}
 		}
 	}
+	return peak
 }
 
 // flushEvents publishes a completed task's ledger entries. Failed tasks

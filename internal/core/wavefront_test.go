@@ -100,7 +100,7 @@ func TestWavefrontDeterministicAcrossWorkerCounts(t *testing.T) {
 	counts := []int{1, 4, goruntime.GOMAXPROCS(0)}
 	var want *Report
 	for _, w := range counts {
-		rt, err := New(Config{Workers: w})
+		rt, err := New(ExecConfig{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestWavefrontDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestWavefrontFaultDrainsClean(t *testing.T) {
 	inj := fault.NewInjector(1, 0, 1)
 	inj.Kill("branch07", 1)
-	rt, err := New(Config{Workers: 8, Inject: inj})
+	rt, err := New(ExecConfig{Workers: 8, Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestWavefrontCancellationDrainsClean(t *testing.T) {
 // execution time rather than growing with the backlog.
 func TestServeMaxLingerBoundsQueueWait(t *testing.T) {
 	tel := telemetry.NewRegistry()
-	rt, err := New(Config{Telemetry: tel})
+	rt, err := New(ExecConfig{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ var benchRefMakespan struct {
 func BenchmarkWideDAGParallel(b *testing.B) {
 	const width, payload, stall = 16, 1 << 20, 5 * time.Millisecond
 	benchRefMakespan.once.Do(func() {
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func BenchmarkWideDAGParallel(b *testing.B) {
 	})
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			rt, err := New(Config{Workers: w})
+			rt, err := New(ExecConfig{Workers: w})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -373,7 +373,7 @@ func BenchmarkServeParallel(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			rt, err := New(Config{Workers: w})
+			rt, err := New(ExecConfig{Workers: w})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -168,7 +168,7 @@ func AblationPlanner() (*Artifact, error) {
 // running the same jobs back to back: six 16-way compute jobs with mixed
 // device preferences share one runtime.
 func AblationMultiJob() (*Artifact, error) {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func AblationRecovery() (*Artifact, error) {
 
 	// Baselines on a clean job: B = plain makespan, B+O = with snapshots.
 	zero := 0
-	rtBase, err := core.New(core.Config{})
+	rtBase, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func AblationRecovery() (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	rtOv, err := core.New(core.Config{})
+	rtOv, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +285,7 @@ func AblationRecovery() (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	rtCk, err := core.New(core.Config{})
+	rtCk, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}

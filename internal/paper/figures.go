@@ -54,7 +54,7 @@ func Figure1() (*Artifact, error) {
 // Fig. 2c property annotations run end-to-end; the table shows where each
 // task and its regions landed and verifies the properties were honoured.
 func Figure2() (*Artifact, error) {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}

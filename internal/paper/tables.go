@@ -146,7 +146,7 @@ func Table2() (*Artifact, error) {
 // physical device the runtime picked for its Private Scratch, Global State,
 // and Global Scratch exemplars.
 func Table3() (*Artifact, error) {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}

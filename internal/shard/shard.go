@@ -649,14 +649,6 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 	return c.submitAsync(ctx, job, opt)
 }
 
-// SubmitAsyncOpts is SubmitAsync with exactly one explicit SubmitOptions.
-//
-// Deprecated: pass the options directly to SubmitAsync, which now accepts
-// them variadically. Kept as a thin compatibility wrapper.
-func (c *Cluster) SubmitAsyncOpts(ctx context.Context, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, error) {
-	return c.submitAsync(ctx, job, opt)
-}
-
 // submitAsync is the single routed-admission path behind Submit and
 // SubmitAsync.
 func (c *Cluster) submitAsync(ctx context.Context, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, error) {

@@ -62,7 +62,7 @@ func gateJob(name string, started chan<- struct{}, release <-chan struct{}) *dat
 // reference every served report must reproduce.
 func soloReport(t testing.TB, j *dataflow.Job) *core.Report {
 	t.Helper()
-	rt, err := core.New(core.Config{Workers: 1})
+	rt, err := core.New(core.ExecConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
