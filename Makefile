@@ -17,9 +17,11 @@ test:
 
 # The concurrency-sensitive layers under the race detector: the serving
 # engine (core.Server, epochs, recovery), the region manager, the fault
-# injector/stores, and the telemetry registry.
+# injector/stores, the telemetry registry, and the readers of the topology's
+# lazily published lookup table (placement, HEFT).
 race:
-	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/...
+	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/... \
+		./internal/topology/... ./internal/placement/... ./internal/sched/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

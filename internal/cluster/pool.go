@@ -25,6 +25,16 @@ import (
 // (every candidate dead, partitioned, or over its watermark).
 var ErrNoSpillTarget = errors.New("cluster: no spill target below watermark")
 
+// Counters a RegionPool reports.
+var (
+	ctrRegionExportBytes    = telemetry.DeclareCounter(telemetry.LayerCluster, "region_export_bytes")
+	ctrRegionExports        = telemetry.DeclareCounter(telemetry.LayerCluster, "region_exports")
+	ctrRegionExportsAdopted = telemetry.DeclareCounter(telemetry.LayerCluster, "region_exports_adopted")
+	ctrRegionHostLost       = telemetry.DeclareCounter(telemetry.LayerCluster, "region_host_lost")
+	ctrRegionRecallBytes    = telemetry.DeclareCounter(telemetry.LayerCluster, "region_recall_bytes")
+	ctrRegionRecalls        = telemetry.DeclareCounter(telemetry.LayerCluster, "region_recalls")
+)
+
 // Backup is the durable store a RegionPool mirrors exported payloads into,
 // so a region survives the crash of the memory node hosting its slab.
 // Narrower than fault.Store to avoid an import cycle (internal/fault builds
@@ -141,8 +151,8 @@ func (p *RegionPool) Export(id uint64, data []byte) (string, time.Duration, erro
 		p.stats.BytesOut += size
 		p.stats.VerbTime += total
 		p.stats.Live = len(p.slabs)
-		p.tel.Add(telemetry.LayerCluster, "region_exports", 1)
-		p.tel.Add(telemetry.LayerCluster, "region_export_bytes", size)
+		p.tel.Handle(ctrRegionExports).Add(1)
+		p.tel.Handle(ctrRegionExportBytes).Add(size)
 		return token, total, nil
 	}
 	return "", total, fmt.Errorf("%w: %d bytes", ErrNoSpillTarget, size)
@@ -166,8 +176,8 @@ func (p *RegionPool) Fetch(token string, buf []byte) (time.Duration, error) {
 		p.stats.Recalled++
 		p.stats.BytesBack += pl.size
 		p.stats.VerbTime += d
-		p.tel.Add(telemetry.LayerCluster, "region_recalls", 1)
-		p.tel.Add(telemetry.LayerCluster, "region_recall_bytes", pl.size)
+		p.tel.Handle(ctrRegionRecalls).Add(1)
+		p.tel.Handle(ctrRegionRecallBytes).Add(pl.size)
 		return d, nil
 	}
 	if !errors.Is(err, ErrUnreachable) || p.backup == nil {
@@ -182,9 +192,9 @@ func (p *RegionPool) Fetch(token string, buf []byte) (time.Duration, error) {
 	p.stats.HostLost++
 	p.stats.BytesBack += pl.size
 	p.stats.VerbTime += d + bd
-	p.tel.Add(telemetry.LayerCluster, "region_recalls", 1)
-	p.tel.Add(telemetry.LayerCluster, "region_recall_bytes", pl.size)
-	p.tel.Add(telemetry.LayerCluster, "region_host_lost", 1)
+	p.tel.Handle(ctrRegionRecalls).Add(1)
+	p.tel.Handle(ctrRegionRecallBytes).Add(pl.size)
+	p.tel.Handle(ctrRegionHostLost).Add(1)
 	return d + bd, nil
 }
 
@@ -251,7 +261,7 @@ func (p *RegionPool) Abandon(adopter string) int {
 		delete(p.slabs, token)
 	}
 	p.stats.Live = 0
-	p.tel.Add(telemetry.LayerCluster, "region_exports_adopted", int64(n))
+	p.tel.Handle(ctrRegionExportsAdopted).Add(int64(n))
 	return n
 }
 

@@ -298,7 +298,7 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 	}
 	ctx.now += d
 	ctx.ckRestoreCost = d
-	r.rt.tel.Add(telemetry.LayerFault, "checkpoints", 1)
+	r.rt.tel.Handle(ctrCheckpoints).Add(1)
 	return nil
 }
 
@@ -333,8 +333,8 @@ func (lr *lazyRestore) hydrate(r *run, task string, h *region.Handle) error {
 		}
 	}
 	lr.done = true
-	r.rt.tel.Add(telemetry.LayerFault, "lazy_hydrations", 1)
-	r.rt.tel.Add(telemetry.LayerFault, "restored_bytes", int64(len(data)))
+	r.rt.tel.Handle(ctrLazyHydrations).Add(1)
+	r.rt.tel.Handle(ctrRestoredBytes).Add(int64(len(data)))
 	return nil
 }
 
@@ -389,7 +389,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration)
 			d = e.restoreCost
 		}
 		ctx.now += d
-		r.rt.tel.Add(telemetry.LayerFault, "restored_bytes", int64(len(data)))
+		r.rt.tel.Handle(ctrRestoredBytes).Add(int64(len(data)))
 	}
 	if hasOutput {
 		size := e.size
@@ -429,7 +429,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration)
 		}
 	}
 	ctx.Log("restored from checkpoint")
-	r.rt.tel.Add(telemetry.LayerFault, "restores", 1)
+	r.rt.tel.Handle(ctrRestores).Add(1)
 	r.flushEvents(ctx)
 	return ctx.now, ctx.report(start, telemetry.LayerFault, "restore"), nil
 }

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -199,7 +198,7 @@ func (b *batchExec) finish(w *wavefront) {
 	case w.canceled != nil:
 		m.canceled = true
 	case b.rec != nil && m.attempt < b.rec.MaxAttempts && (m.cancel == nil || m.cancel() == nil):
-		b.rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
+		b.rt.tel.Handle(ctrJobRetries).Add(1)
 		wait := backoffWait(b.rec, m.attempt)
 		m.waits = append(m.waits, wait)
 		m.attempt++

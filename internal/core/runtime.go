@@ -36,6 +36,29 @@ import (
 	"repro/internal/topology"
 )
 
+// Counters the runtime and server report.
+var (
+	ctrCheckpoints         = telemetry.DeclareCounter(telemetry.LayerFault, "checkpoints")
+	ctrJobRetries          = telemetry.DeclareCounter(telemetry.LayerFault, "job_retries")
+	ctrLazyHydrations      = telemetry.DeclareCounter(telemetry.LayerFault, "lazy_hydrations")
+	ctrRestoredBytes       = telemetry.DeclareCounter(telemetry.LayerFault, "restored_bytes")
+	ctrRestores            = telemetry.DeclareCounter(telemetry.LayerFault, "restores")
+	ctrServerAdmitted      = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_admitted")
+	ctrServerCanceled      = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_canceled")
+	ctrServerCompleted     = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_completed")
+	ctrServerDowntiered    = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_downtiered")
+	ctrServerEpochs        = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_epochs")
+	ctrServerFailed        = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_failed")
+	ctrServerRecovered     = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_recovered")
+	ctrServerRejected      = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_rejected")
+	ctrServerScaleDown     = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_scale_down")
+	ctrServerScaleUp       = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_scale_up")
+	ctrServerSloRejected   = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_slo_rejected")
+	ctrServerStreamResumed = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_stream_resumed")
+	ctrServerStreamWindows = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_stream_windows")
+	ctrServerStreams       = telemetry.DeclareCounter(telemetry.LayerRuntime, "server_streams")
+)
+
 // ExecConfig is the execution-engine configuration shared by the two entry
 // points: Runtime construction (New) and the serving front door
 // (ServerConfig embeds it). Zero fields get production defaults: the

@@ -436,7 +436,7 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 	// dequeue. Refuse it here and account it as canceled, not rejected —
 	// the server had room, the submitter had given up.
 	if err := ctx.Err(); err != nil {
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
+		s.rt.tel.Handle(ctrServerCanceled).Add(1)
 		return nil, err
 	}
 	t := &jobTicket{
@@ -451,7 +451,7 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 		}
 		wait, predicted, tier := s.slo.admit(opt, est.Makespan)
 		if tier == tierRejected {
-			s.rt.tel.Add(telemetry.LayerRuntime, "server_slo_rejected", 1)
+			s.rt.tel.Handle(ctrServerSloRejected).Add(1)
 			return nil, fmt.Errorf("%w: predicted %v, deadline %v", ErrDeadline, predicted, s.slo.deadlineFor(opt))
 		}
 		t.plan, t.slowait, t.predicted = plan, wait, predicted
@@ -459,7 +459,7 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 		if tier == tierBestEffort {
 			t.bestEffort = true
 			t.tk.bestEffort = true
-			s.rt.tel.Add(telemetry.LayerRuntime, "server_downtiered", 1)
+			s.rt.tel.Handle(ctrServerDowntiered).Add(1)
 		}
 	}
 	if opt.BestEffort && !t.bestEffort {
@@ -489,10 +489,10 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 	}
 	s.gate.RUnlock()
 	if refused != nil {
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
+		s.rt.tel.Handle(ctrServerRejected).Add(1)
 		return nil, refused
 	}
-	s.rt.tel.Add(telemetry.LayerRuntime, "server_admitted", 1)
+	s.rt.tel.Handle(ctrServerAdmitted).Add(1)
 	return t.tk, nil
 }
 
@@ -607,7 +607,7 @@ func (s *Server) collect(first *jobTicket) []*jobTicket {
 func (s *Server) appendLive(batch []*jobTicket, t *jobTicket) []*jobTicket {
 	if err := t.ctx.Err(); err != nil {
 		s.noteQueueWait(time.Since(t.enqueued))
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
+		s.rt.tel.Handle(ctrServerCanceled).Add(1)
 		t.tk.deliver(nil, err)
 		return batch
 	}
@@ -647,7 +647,7 @@ func (s *Server) serveBatch(batch []*jobTicket) {
 	for _, t := range batch {
 		s.noteQueueWait(dequeued.Sub(t.enqueued))
 		if err := t.ctx.Err(); err != nil {
-			rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
+			rt.tel.Handle(ctrServerCanceled).Add(1)
 			t.tk.deliver(nil, err)
 			continue
 		}
@@ -675,15 +675,15 @@ func (s *Server) serveBatch(batch []*jobTicket) {
 	if len(ms) == 0 {
 		return
 	}
-	rt.tel.Add(telemetry.LayerRuntime, "server_epochs", 1)
+	rt.tel.Handle(ctrServerEpochs).Add(1)
 	rt.execBatch(ms, s.batching, s.rec, func(m *member) {
 		t := live[m]
 		switch {
 		case m.canceled:
-			rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
+			rt.tel.Handle(ctrServerCanceled).Add(1)
 			t.tk.deliver(nil, m.err)
 		case m.err != nil:
-			rt.tel.Add(telemetry.LayerRuntime, "server_failed", 1)
+			rt.tel.Handle(ctrServerFailed).Add(1)
 			t.tk.deliver(nil, m.taskErr())
 		default:
 			s.complete(t, m)
@@ -707,9 +707,9 @@ func (s *Server) complete(t *jobTicket, m *member) {
 	span := "serve"
 	if m.attempt > 1 || rep.SkippedTasks > 0 {
 		span = "serve-recovered"
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_recovered", 1)
+		s.rt.tel.Handle(ctrServerRecovered).Add(1)
 	}
-	s.rt.tel.Add(telemetry.LayerRuntime, "server_completed", 1)
+	s.rt.tel.Handle(ctrServerCompleted).Add(1)
 	s.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerRuntime, Job: t.job.Name(),
 		Name: span, Start: 0, End: rep.Makespan,

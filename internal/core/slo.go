@@ -24,8 +24,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // ErrDeadline is returned by Submit/SubmitAsync when SLO admission predicts
@@ -297,14 +295,14 @@ func (sc *scaler) step() {
 		sc.mu.Unlock()
 		sc.s.wg.Add(1)
 		go sc.s.worker()
-		sc.s.rt.tel.Add(telemetry.LayerRuntime, "server_scale_up", 1)
+		sc.s.rt.tel.Handle(ctrServerScaleUp).Add(1)
 	case cur > sc.pol.Min && p99 < sc.pol.TargetP99/2:
 		select {
 		case sc.s.shrink <- struct{}{}:
 			sc.mu.Lock()
 			sc.cur--
 			sc.mu.Unlock()
-			sc.s.rt.tel.Add(telemetry.LayerRuntime, "server_scale_down", 1)
+			sc.s.rt.tel.Handle(ctrServerScaleDown).Add(1)
 		default: // a previous token is still unconsumed; stay damped
 		}
 	}

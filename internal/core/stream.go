@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
 // ErrStreamCanceled is the terminal error of a stream whose context was
@@ -229,7 +228,7 @@ func (s *Server) SubmitStream(ctx context.Context, spec stream.Spec, opts ...Sub
 		done:    make(chan struct{}),
 		drain:   make(chan struct{}),
 	}
-	s.rt.tel.Add(telemetry.LayerRuntime, "server_streams", 1)
+	s.rt.tel.Handle(ctrServerStreams).Add(1)
 	go s.streamDriver(cctx, spec, opt, t, opt.ResumeID != "")
 	return t, nil
 }
@@ -357,7 +356,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 		t.watermark += rep.Makespan
 		t.windows++
 		t.mu.Unlock()
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_stream_windows", 1)
+		s.rt.tel.Handle(ctrServerStreamWindows).Add(1)
 		select {
 		case t.reports <- rep:
 		case <-ctx.Done():
@@ -404,7 +403,7 @@ func (s *Server) streamResumeScan(spec stream.Spec, t *StreamTicket, resumed boo
 		}
 	}
 	if next > 0 {
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_stream_resumed", 1)
+		s.rt.tel.Handle(ctrServerStreamResumed).Add(1)
 	}
 	return next, true
 }

@@ -12,7 +12,6 @@ package dataflow
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/props"
@@ -118,6 +117,7 @@ type Fn func(ctx Ctx) error
 // Task is one node of the job DAG.
 type Task struct {
 	id    string
+	idx   int // position in the job's insertion order
 	props Props
 	fn    Fn
 	preds []*Task
@@ -127,17 +127,24 @@ type Task struct {
 // ID returns the task's identifier.
 func (t *Task) ID() string { return t.id }
 
+// Index returns the task's position in its job's insertion order (the
+// order of Job.Tasks) — a dense key for per-task slices.
+func (t *Task) Index() int { return t.idx }
+
 // Props returns the task's declared properties.
 func (t *Task) Props() Props { return t.props }
 
 // Fn returns the task body (nil for structure-only tasks in tests).
 func (t *Task) Fn() Fn { return t.fn }
 
-// Preds returns the predecessor tasks in edge-insertion order.
-func (t *Task) Preds() []*Task { return append([]*Task(nil), t.preds...) }
+// Preds returns the predecessor tasks in edge-insertion order. The slice
+// is the task's own (capped, so appending copies): callers must not modify
+// its elements.
+func (t *Task) Preds() []*Task { return t.preds[:len(t.preds):len(t.preds)] }
 
-// Succs returns the successor tasks in edge-insertion order.
-func (t *Task) Succs() []*Task { return append([]*Task(nil), t.succs...) }
+// Succs returns the successor tasks in edge-insertion order, shared like
+// Preds.
+func (t *Task) Succs() []*Task { return t.succs[:len(t.succs):len(t.succs)] }
 
 // Then connects t → next and returns next, allowing chain syntax:
 // preprocess.Then(recognize).Then(track).
@@ -171,7 +178,7 @@ func (j *Job) Task(id string, p Props, fn Fn) *Task {
 	if _, dup := j.tasks[id]; dup {
 		panic("dataflow: duplicate task id " + id)
 	}
-	t := &Task{id: id, props: p, fn: fn}
+	t := &Task{id: id, idx: len(j.order), props: p, fn: fn}
 	j.tasks[id] = t
 	j.order = append(j.order, t)
 	return t
@@ -194,45 +201,54 @@ var ErrCycle = errors.New("dataflow: job graph has a cycle")
 
 // Validate checks the job is a proper DAG with sane properties.
 func (j *Job) Validate() error {
+	_, err := j.ValidOrder()
+	return err
+}
+
+// ValidOrder is Validate and TopoOrder in one pass: the deterministic
+// topological order of a job that passes validation.
+func (j *Job) ValidOrder() ([]*Task, error) {
 	if len(j.order) == 0 {
-		return errors.New("dataflow: job has no tasks")
+		return nil, errors.New("dataflow: job has no tasks")
 	}
 	for _, t := range j.order {
 		if t.props.Ops < 0 || t.props.OutputBytes < 0 {
-			return fmt.Errorf("dataflow: task %s has negative work", t.id)
+			return nil, fmt.Errorf("dataflow: task %s has negative work", t.id)
 		}
 	}
-	if _, err := j.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return j.TopoOrder()
 }
 
 // TopoOrder returns the tasks in a deterministic topological order
-// (Kahn's algorithm; ready set ordered by insertion index).
+// (Kahn's algorithm; the ready task with the lowest insertion index goes
+// first).
 func (j *Job) TopoOrder() ([]*Task, error) {
-	indeg := make(map[*Task]int, len(j.order))
-	idx := make(map[*Task]int, len(j.order))
+	indeg := make([]int, len(j.order))
+	var ready []int // insertion indices
 	for i, t := range j.order {
-		indeg[t] = len(t.preds)
-		idx[t] = i
-	}
-	var ready []*Task
-	for _, t := range j.order {
-		if indeg[t] == 0 {
-			ready = append(ready, t)
+		indeg[i] = len(t.preds)
+		if indeg[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
-	var out []*Task
+	out := make([]*Task, 0, len(j.order))
 	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool { return idx[ready[a]] < idx[ready[b]] })
-		t := ready[0]
-		ready = ready[1:]
+		first := 0
+		for k := range ready {
+			if ready[k] < ready[first] {
+				first = k
+			}
+		}
+		t := j.order[ready[first]]
+		ready = append(ready[:first], ready[first+1:]...)
 		out = append(out, t)
 		for _, s := range t.succs {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
+			if s.idx >= len(j.order) || j.order[s.idx] != s {
+				continue // an edge into another job never becomes ready here
+			}
+			indeg[s.idx]--
+			if indeg[s.idx] == 0 {
+				ready = append(ready, s.idx)
 			}
 		}
 	}

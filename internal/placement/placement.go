@@ -151,35 +151,36 @@ func backlogPenalty(busyUntil, now time.Duration) float64 {
 }
 
 func (b *BestFit) placeAt(req props.Requirements, computeID string, now time.Duration, clk topology.VClock, contentionAware bool) (string, error) {
-	best, bestScore := "", 0.0
-	for _, dev := range b.Topo.Memories() {
-		if dev.HardwareManaged {
+	best, bestScore := -1, 0.0
+	var row []topology.Reach
+	if ci, ok := b.Topo.ComputeIndex(computeID); ok {
+		row = b.Topo.Row(ci)
+	}
+	for mi := range row {
+		e := &row[mi]
+		if e.Mem.HardwareManaged || !e.Admits(req) {
 			continue
 		}
-		caps, ok := b.Topo.EffectiveCaps(computeID, dev.ID)
-		if !ok {
-			continue
-		}
-		if ok, _ := req.Match(caps); !ok {
-			continue
-		}
-		s := req.Score(caps)
+		s := req.Score(e.Caps)
 		if contentionAware {
-			busy := dev.Stats().BusyUntil
+			var busy time.Duration
 			if clk != nil {
-				busy = clk.BusyUntil(dev.ID)
+				busy = clk.BusyAt(mi)
+			} else {
+				busy = e.Mem.Stats().BusyUntil
 			}
 			s -= backlogPenalty(busy, now)
 		}
-		if best == "" || s > bestScore {
-			best, bestScore = dev.ID, s
+		if best < 0 || s > bestScore {
+			best, bestScore = mi, s
 		}
 	}
-	if best == "" {
+	if best < 0 {
 		return "", fmt.Errorf("%w: %s from %s", ErrNoCandidate, req, computeID)
 	}
-	b.record(Decision{Compute: computeID, Device: best, Score: bestScore, Req: req})
-	return best, nil
+	dev := row[best].Mem.ID
+	b.record(Decision{Compute: computeID, Device: dev, Score: bestScore, Req: req})
+	return dev, nil
 }
 
 // Decisions returns a copy of the retained decision log, oldest first. The
@@ -199,24 +200,25 @@ func (b *BestFit) PlaceShared(req props.Requirements, computeIDs []string) (stri
 	if len(computeIDs) == 0 {
 		return "", fmt.Errorf("%w: no compute devices given", ErrNoCandidate)
 	}
-	best, bestScore := "", 0.0
-	for _, dev := range b.Topo.Memories() {
-		if dev.HardwareManaged {
-			continue
+	rows := make([][]topology.Reach, len(computeIDs))
+	for i, c := range computeIDs {
+		ci, ok := b.Topo.ComputeIndex(c)
+		if !ok {
+			return "", fmt.Errorf("%w: %s from %v", ErrNoCandidate, req, computeIDs)
 		}
+		rows[i] = b.Topo.Row(ci)
+	}
+	best, bestScore := "", 0.0
+	for mi := 0; mi < b.Topo.NumMemories(); mi++ {
 		worst := 0.0
 		ok := true
-		for i, c := range computeIDs {
-			caps, reachable := b.Topo.EffectiveCaps(c, dev.ID)
-			if !reachable {
+		for i, row := range rows {
+			e := &row[mi]
+			if e.Mem.HardwareManaged || !e.Admits(req) {
 				ok = false
 				break
 			}
-			if m, _ := req.Match(caps); !m {
-				ok = false
-				break
-			}
-			s := req.Score(caps)
+			s := req.Score(e.Caps)
 			if i == 0 || s < worst {
 				worst = s
 			}
@@ -225,7 +227,7 @@ func (b *BestFit) PlaceShared(req props.Requirements, computeIDs []string) (stri
 			continue
 		}
 		if best == "" || worst > bestScore {
-			best, bestScore = dev.ID, worst
+			best, bestScore = rows[0][mi].Mem.ID, worst
 		}
 	}
 	if best == "" {
@@ -255,17 +257,15 @@ func (s *Static) Name() string { return "static" }
 // Place implements region.Placer: first device in the hardcoded order that
 // satisfies the hard constraints, regardless of the compute device's view.
 func (s *Static) Place(req props.Requirements, computeID string) (string, error) {
-	for _, id := range s.Order {
-		dev, known := s.Topo.Memory(id)
-		if !known || dev.HardwareManaged {
-			continue
-		}
-		caps, ok := s.Topo.EffectiveCaps(computeID, id)
-		if !ok {
-			continue
-		}
-		if ok, _ := req.Match(caps); ok {
-			return id, nil
+	if ci, ok := s.Topo.ComputeIndex(computeID); ok {
+		for _, id := range s.Order {
+			mi, known := s.Topo.MemoryIndex(id)
+			if !known {
+				continue
+			}
+			if e := s.Topo.Reach(ci, mi); !e.Mem.HardwareManaged && e.Admits(req) {
+				return id, nil
+			}
 		}
 	}
 	return "", fmt.Errorf("%w: static order exhausted for %s from %s", ErrNoCandidate, req, computeID)
@@ -291,17 +291,8 @@ func (r *Random) Name() string { return "random" }
 // Place implements region.Placer.
 func (r *Random) Place(req props.Requirements, computeID string) (string, error) {
 	var candidates []string
-	for _, dev := range r.Topo.Memories() {
-		if dev.HardwareManaged {
-			continue
-		}
-		caps, ok := r.Topo.EffectiveCaps(computeID, dev.ID)
-		if !ok {
-			continue
-		}
-		if ok, _ := req.Match(caps); ok {
-			candidates = append(candidates, dev.ID)
-		}
+	for _, e := range matching(r.Topo, req, computeID) {
+		candidates = append(candidates, e.Mem.ID)
 	}
 	if len(candidates) == 0 {
 		return "", fmt.Errorf("%w: %s from %s", ErrNoCandidate, req, computeID)
@@ -329,24 +320,32 @@ func (w *Worst) Name() string { return "worst-fit" }
 // Place implements region.Placer.
 func (w *Worst) Place(req props.Requirements, computeID string) (string, error) {
 	best, bestScore, found := "", 0.0, false
-	for _, dev := range w.Topo.Memories() {
-		if dev.HardwareManaged {
-			continue
-		}
-		caps, ok := w.Topo.EffectiveCaps(computeID, dev.ID)
-		if !ok {
-			continue
-		}
-		if ok, _ := req.Match(caps); !ok {
-			continue
-		}
-		s := req.Score(caps)
+	for _, e := range matching(w.Topo, req, computeID) {
+		s := req.Score(e.Caps)
 		if !found || s < bestScore {
-			best, bestScore, found = dev.ID, s, true
+			best, bestScore, found = e.Mem.ID, s, true
 		}
 	}
 	if !found {
 		return "", fmt.Errorf("%w: %s from %s", ErrNoCandidate, req, computeID)
 	}
 	return best, nil
+}
+
+// matching returns, in device order, the table entries of computeID's row
+// whose device can host regions and satisfies req — the candidate set of
+// the baselines that need no scoring state of their own.
+func matching(topo *topology.Topology, req props.Requirements, computeID string) []*topology.Reach {
+	ci, ok := topo.ComputeIndex(computeID)
+	if !ok {
+		return nil
+	}
+	var out []*topology.Reach
+	row := topo.Row(ci)
+	for mi := range row {
+		if e := &row[mi]; !e.Mem.HardwareManaged && e.Admits(req) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

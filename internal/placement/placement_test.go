@@ -256,6 +256,45 @@ func TestBestFitDominatesProperty(t *testing.T) {
 	}
 }
 
+// epochRequest is the hot-path shape of BestFit: an unshared private
+// scratch request priced against a wavefront task's clock view.
+func epochRequest(topo *topology.Topology) (*BestFit, props.Requirements, *topology.TaskView) {
+	p := NewBestFit(topo)
+	p.SetDecisionCap(16) // a full ring overwrites in place
+	req := props.PrivateScratch.Defaults()
+	req.Capacity = 1 << 20
+	return p, req, topo.NewTaskView()
+}
+
+// TestPlaceEpochZeroAlloc gates BestFit's per-allocation decision at zero
+// allocations once its decision ring is full.
+func TestPlaceEpochZeroAlloc(t *testing.T) {
+	p, req, view := epochRequest(testbed(t))
+	for i := 0; i < 32; i++ {
+		if _, err := p.PlaceEpoch(req, "node0/cpu0", 0, view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p.PlaceEpoch(req, "node0/cpu0", 0, view) //nolint:errcheck // checked above
+	}); n != 0 {
+		t.Errorf("PlaceEpoch allocates %.0f per call, want 0", n)
+	}
+}
+
+// BenchmarkPlaceEpoch is one contention-aware placement decision: a walk of
+// the requester's table row, with the backlog read from its clock view.
+func BenchmarkPlaceEpoch(b *testing.B) {
+	p, req, view := epochRequest(testbed(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.PlaceEpoch(req, "node0/cpu0", 0, view); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBestFitPlace(b *testing.B) {
 	topo := testbed(b)
 	p := NewBestFit(topo)

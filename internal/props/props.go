@@ -156,6 +156,25 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Field + ": " + v.Detail }
 
+// Matches reports whether capabilities satisfy all hard constraints. It is
+// the allocation-free form of Match that placers call once per candidate
+// device; Match adds the violation list for error messages.
+func (r Requirements) Matches(c Capabilities) bool {
+	if r.Capacity > 0 && c.FreeCapacity < r.Capacity {
+		return false
+	}
+	ceiling := r.Latency.Ceiling()
+	if r.MaxLatency > 0 {
+		ceiling = r.MaxLatency
+	}
+	return c.Latency <= ceiling &&
+		!(r.MinBandwidth > 0 && c.Bandwidth < r.MinBandwidth) &&
+		r.Persistent.Satisfied(c.Persistent) &&
+		r.Coherent.Satisfied(c.Coherent) &&
+		r.Sync.Satisfied(c.Sync) &&
+		r.ByteAddr.Satisfied(c.ByteAddressable)
+}
+
 // Match reports whether capabilities satisfy all hard constraints and, if
 // not, the list of violations (for diagnostics and tests).
 func (r Requirements) Match(c Capabilities) (bool, []Violation) {
@@ -192,6 +211,8 @@ func (r Requirements) Match(c Capabilities) (bool, []Violation) {
 // latency and high bandwidth relative to the requirement ceiling, and
 // penalizes wasting scarce premium devices on undemanding requests
 // (capacity pressure) as well as remote placement of confidential data.
+// It reads only static capabilities, never FreeCapacity, so placers score
+// a topology table entry's cached capabilities directly.
 func (r Requirements) Score(c Capabilities) float64 {
 	ceiling := r.Latency.Ceiling()
 	if r.MaxLatency > 0 {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // This file implements the remote half of the tiering story: when a region
@@ -86,8 +84,8 @@ func (m *Manager) exportLocked(r *Region) (time.Duration, error) {
 	m.putBacking(r.blockSize, buf)
 	r.exported = true
 	r.token = token
-	m.reg.Add(telemetry.LayerRegion, "exports", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_exported", r.size)
+	m.reg.Handle(ctrExports).Add(1)
+	m.reg.Handle(ctrBytesExported).Add(r.size)
 	return cost, nil
 }
 
@@ -140,9 +138,9 @@ func (m *Manager) recallLocked(r *Region) (time.Duration, error) {
 	r.offset = off
 	r.exported = false
 	r.token = ""
-	m.reg.Add(telemetry.LayerRegion, "recalls", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_recalled", r.size)
-	m.reg.Add(telemetry.LayerRegion, "recall_verb_ns", cost.Nanoseconds())
+	m.reg.Handle(ctrRecalls).Add(1)
+	m.reg.Handle(ctrBytesRecalled).Add(r.size)
+	m.reg.Handle(ctrRecallVerbNs).Add(cost.Nanoseconds())
 	return cost, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/props"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // recordFence captures every deps argument the region layer passes to the
@@ -159,8 +160,9 @@ func TestFenceErrorAbortsAccess(t *testing.T) {
 
 // TestCoherenceCostTopologyMissIsNotFree pins the bugfix for the silent
 // under-pricing: when the effective-caps lookup for the accessing compute
-// fails, the directory protocol must still be charged (at the pessimistic
-// manager default) and the miss must be counted, instead of returning 0.
+// fails (here: a compute device with no links at all), the directory
+// protocol must still be charged (at the pessimistic manager default) and
+// the miss must be counted, instead of returning 0.
 func TestCoherenceCostTopologyMissIsNotFree(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	topo := newManager(t).Topology()
@@ -173,9 +175,14 @@ func TestCoherenceCostTopologyMissIsNotFree(t *testing.T) {
 	if _, err := h.Share("b", "node0/cpu0"); err != nil {
 		t.Fatal(err)
 	}
+	island := &topology.ComputeDevice{ID: "island/cpu0", Kind: topology.CPU, Gops: 1}
+	if err := topo.AddCompute(island); err != nil {
+		t.Fatal(err)
+	}
+	ci, _ := topo.ComputeIndex(island.ID)
 	m.mu.Lock()
 	r := m.regions[h.id]
-	cost := m.coherenceCost(r, "no-such-compute", 0, 128, true)
+	cost := m.coherenceCost(r, ci, island.ID, 0, 128, true)
 	m.mu.Unlock()
 	if cost <= 0 {
 		t.Errorf("coherence cost on caps miss = %v, want > 0", cost)

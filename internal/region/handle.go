@@ -7,7 +7,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/memsim"
 	"repro/internal/props"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -24,6 +23,7 @@ type Handle struct {
 	gen     uint64
 	owner   Owner
 	compute string
+	ci      int // compute's dense topology index
 	// clock, when non-nil, is the virtual-time view accesses through this
 	// handle queue against; nil uses the device-global queues. Derived
 	// handles (Share, Transfer) inherit it; the runtime rebinds it when a
@@ -136,7 +136,7 @@ func checkRange(r *Region, off, n int64) error {
 
 // coherenceCost runs the directory protocol for the touched lines of a
 // shared region and prices the actions. Caller holds m.mu.
-func (m *Manager) coherenceCost(r *Region, computeID string, off, n int64, write bool) time.Duration {
+func (m *Manager) coherenceCost(r *Region, ci int, computeID string, off, n int64, write bool) time.Duration {
 	if !r.everShared || r.req.Coherent != props.Require {
 		return 0 // exclusive ownership needs no protocol (§2.2)
 	}
@@ -145,10 +145,10 @@ func (m *Manager) coherenceCost(r *Region, computeID string, off, n int64, write
 	// protocol silently free: count the miss and charge the pessimistic
 	// manager-wide default instead.
 	latency := m.missLatency
-	if caps, ok := m.topo.EffectiveCaps(computeID, r.device.ID); ok {
-		latency = caps.Latency
+	if e := m.topo.Reach(ci, r.mi); e.OK {
+		latency = e.Caps.Latency
 	} else {
-		m.reg.Add(telemetry.LayerCoherence, "topology_miss", 1)
+		m.reg.Handle(ctrTopologyMiss).Add(1)
 	}
 	const lineSize = 64
 	first := off / lineSize
@@ -162,9 +162,9 @@ func (m *Manager) coherenceCost(r *Region, computeID string, off, n int64, write
 			acts.Add(m.dir.Read(computeID, id))
 		}
 	}
-	m.reg.Add(telemetry.LayerCoherence, "invalidations", int64(acts.Invalidations))
-	m.reg.Add(telemetry.LayerCoherence, "writebacks", int64(acts.Writebacks))
-	m.reg.Add(telemetry.LayerCoherence, "fetches", int64(acts.Fetches))
+	m.reg.Handle(ctrInvalidations).Add(int64(acts.Invalidations))
+	m.reg.Handle(ctrWritebacks).Add(int64(acts.Writebacks))
+	m.reg.Handle(ctrFetches).Add(int64(acts.Fetches))
 	return time.Duration(acts.Total()) * latency
 }
 
@@ -189,16 +189,25 @@ func (h *Handle) fenceDeps(r *Region) []int {
 	return h.deps
 }
 
-// access is the common sync data path. It moves real bytes between the
-// region backing and the caller's buffer and returns the virtual completion
-// time. The payload copy runs under the region's own dataMu — outside the
-// manager lock — so independent tasks' memcpys proceed in parallel.
-func (h *Handle) access(now time.Duration, off int64, buf []byte, write bool, pat memsim.Pattern) (time.Duration, error) {
+// access is the common data path. It moves real bytes between the region
+// backing and the caller's buffer and returns the virtual completion time.
+// A sync access (ReadAt, WriteAt) first checks that the device offers a
+// synchronous interface from the handle's compute device — under the same
+// lock acquisition. The payload copy runs under the region's own dataMu —
+// outside the manager lock — so independent tasks' memcpys proceed in
+// parallel.
+func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bool, pat memsim.Pattern) (time.Duration, error) {
 	h.m.mu.Lock()
 	r, err := h.m.lookup(h)
 	if err != nil {
 		h.m.mu.Unlock()
 		return now, err
+	}
+	if sync {
+		if e := h.m.topo.Reach(h.ci, r.mi); !e.OK || !e.Caps.Sync {
+			h.m.mu.Unlock()
+			return now, fmt.Errorf("%w: %s from %s", ErrSyncFarAccess, r.device.ID, h.compute)
+		}
 	}
 	// Fence exactly when coherenceCost will consult the directory: the
 	// everShared bit flips before any sharing consumer's handle exists, so
@@ -240,16 +249,16 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write bool, pa
 	if write {
 		kind = memsim.Write
 	}
-	done, err := h.m.accessTime(h.clock, h.compute, r.device.ID, now, n, kind, pat)
+	done, err := h.m.accessTime(h.clock, h.ci, r.mi, now, n, kind, pat)
 	if err != nil {
 		h.m.mu.Unlock()
 		return now, err
 	}
-	done += h.m.coherenceCost(r, h.compute, off, n, write)
+	done += h.m.coherenceCost(r, h.ci, h.compute, off, n, write)
 	if write {
-		h.m.reg.Add(telemetry.LayerRegion, "bytes_written", n)
+		h.m.reg.Handle(ctrBytesWritten).Add(n)
 	} else {
-		h.m.reg.Add(telemetry.LayerRegion, "bytes_read", n)
+		h.m.reg.Handle(ctrBytesRead).Add(n)
 	}
 	// Hand the copy over to the region lock: writers of data/sealed hold
 	// both locks, so holding either is enough to read them consistently.
@@ -276,41 +285,18 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write bool, pa
 // that only expose an asynchronous interface (Table 1's Sync column) —
 // callers must use ReadAsync there, the point of §2.2(3).
 func (h *Handle) ReadAt(now time.Duration, off int64, buf []byte) (time.Duration, error) {
-	if err := h.requireSync(); err != nil {
-		return now, err
-	}
-	return h.access(now, off, buf, false, memsim.Sequential)
+	return h.access(now, off, buf, false, true, memsim.Sequential)
 }
 
 // WriteAt synchronously writes buf at off.
 func (h *Handle) WriteAt(now time.Duration, off int64, buf []byte) (time.Duration, error) {
-	if err := h.requireSync(); err != nil {
-		return now, err
-	}
-	return h.access(now, off, buf, true, memsim.Sequential)
+	return h.access(now, off, buf, true, true, memsim.Sequential)
 }
 
 // ReadAtRandom is ReadAt with a random-access cost profile (per-granule
 // latency), for pointer-chasing workloads.
 func (h *Handle) ReadAtRandom(now time.Duration, off int64, buf []byte) (time.Duration, error) {
-	if err := h.requireSync(); err != nil {
-		return now, err
-	}
-	return h.access(now, off, buf, false, memsim.Random)
-}
-
-func (h *Handle) requireSync() error {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
-	if err != nil {
-		return err
-	}
-	caps, ok := h.m.topo.EffectiveCaps(h.compute, r.device.ID)
-	if !ok || !caps.Sync {
-		return fmt.Errorf("%w: %s from %s", ErrSyncFarAccess, r.device.ID, h.compute)
-	}
-	return nil
+	return h.access(now, off, buf, false, true, memsim.Random)
 }
 
 // Future is an in-flight asynchronous access (§2.2(3): far memory should be
@@ -336,13 +322,13 @@ func (f *Future) Await(now time.Duration) (time.Duration, error) {
 // ReadAsync issues a background read and returns immediately; the returned
 // Future completes at the device's virtual completion time.
 func (h *Handle) ReadAsync(now time.Duration, off int64, buf []byte) *Future {
-	done, err := h.access(now, off, buf, false, memsim.Sequential)
+	done, err := h.access(now, off, buf, false, false, memsim.Sequential)
 	return &Future{done: done, err: err}
 }
 
 // WriteAsync issues a background write.
 func (h *Handle) WriteAsync(now time.Duration, off int64, buf []byte) *Future {
-	done, err := h.access(now, off, buf, true, memsim.Sequential)
+	done, err := h.access(now, off, buf, true, false, memsim.Sequential)
 	return &Future{done: done, err: err}
 }
 
@@ -399,26 +385,22 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 	if len(r.owners) != 1 {
 		return nil, now, fmt.Errorf("%w: %d owners", ErrExclusive, len(r.owners))
 	}
-	if _, ok := h.m.topo.Compute(toCompute); !ok {
+	tci, ok := h.m.topo.ComputeIndex(toCompute)
+	if !ok {
 		return nil, now, fmt.Errorf("region: unknown compute device %q", toCompute)
 	}
-	caps, addressable := h.m.topo.EffectiveCaps(toCompute, r.device.ID)
-	zeroCopy := false
-	if addressable {
-		// The region already owns its space on the device, so the free-
-		// capacity constraint does not apply to staying put.
-		req := r.req
-		req.Capacity = 0
-		if ok, _ := req.Match(caps); ok {
-			zeroCopy = true
-		}
-	}
+	// The region already owns its space on the device, so the free-capacity
+	// constraint does not apply to staying put.
+	req := r.req
+	req.Capacity = 0
+	e := h.m.topo.Reach(tci, r.mi)
+	zeroCopy := e.OK && req.Matches(e.Caps)
 	r.gen++ // invalidate the source handle (move semantics)
-	nh := &Handle{m: h.m, id: r.id, gen: r.gen, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
+	nh := &Handle{m: h.m, id: r.id, gen: r.gen, owner: to, compute: toCompute, ci: tci, clock: h.clock, fence: h.fence, rank: h.rank}
 	delete(r.owners, h.owner)
 	r.owners[to] = toCompute
 	if zeroCopy {
-		h.m.reg.Add(telemetry.LayerRegion, "transfers_zero_copy", 1)
+		h.m.reg.Handle(ctrTransfersZeroCopy).Add(1)
 		return nh, now, nil
 	}
 	// Migration: re-place for the receiver and copy through the fabric.
@@ -432,7 +414,7 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 		return nil, now, err
 	}
 	nh.gen = r.gen
-	h.m.reg.Add(telemetry.LayerRegion, "transfers_migrated", 1)
+	h.m.reg.Handle(ctrTransfersMigrated).Add(1)
 	return nh, done, nil
 }
 
@@ -448,10 +430,15 @@ func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, 
 
 // migrateToLocked moves a region to the named device. Caller holds m.mu.
 func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.Duration, clk topology.VClock) (time.Duration, error) {
-	dst, ok := m.topo.Memory(devID)
+	ci, ok := m.topo.ComputeIndex(computeID)
+	if !ok {
+		return now, fmt.Errorf("region: unknown compute device %q", computeID)
+	}
+	dmi, ok := m.topo.MemoryIndex(devID)
 	if !ok {
 		return now, fmt.Errorf("region: placer chose unknown device %q", devID)
 	}
+	dst := m.topo.MemoryAt(dmi)
 	if dst.ID == r.device.ID {
 		return now, nil
 	}
@@ -472,11 +459,11 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 		return now, err
 	}
 	// Price the copy: read from the old home, write to the new one.
-	rd, err := m.accessTime(clk, computeID, r.device.ID, now, r.size, memsim.Read, memsim.Sequential)
+	rd, err := m.accessTime(clk, ci, r.mi, now, r.size, memsim.Read, memsim.Sequential)
 	if err != nil {
 		rd = now // old home may be unreachable from the new compute; charge only the write
 	}
-	wr, err := m.accessTime(clk, computeID, dst.ID, rd, r.size, memsim.Write, memsim.Sequential)
+	wr, err := m.accessTime(clk, ci, dmi, rd, r.size, memsim.Write, memsim.Sequential)
 	if err != nil {
 		return now, err
 	}
@@ -487,12 +474,13 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 	r.device.Release(r.blockSize)
 	m.dir.DropRegion(uint64(r.id))
 	r.device = dst
+	r.mi = dmi
 	r.offset = off
 	// Crossing the on-/off-node boundary changes the at-rest encryption
 	// obligation of confidential regions; toggle the sealing of the whole
 	// backing (seal and unseal are the same XOR keystream).
-	if caps, ok := m.topo.EffectiveCaps(computeID, dst.ID); ok {
-		newSealed := r.req.Confidential && caps.Remote
+	if e := m.topo.Reach(ci, dmi); e.OK {
+		newSealed := r.req.Confidential && e.Caps.Remote
 		if newSealed != r.sealed {
 			r.dataMu.Lock()
 			keystreamAt(m.secret, r.id, 0, r.data)
@@ -500,8 +488,8 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 			r.dataMu.Unlock()
 		}
 	}
-	m.reg.Add(telemetry.LayerRegion, "migrations", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_migrated", r.size)
+	m.reg.Handle(ctrMigrations).Add(1)
+	m.reg.Handle(ctrBytesMigrated).Add(r.size)
 	return wr, nil
 }
 
@@ -537,10 +525,11 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 	if !r.class.Shareable() {
 		return nil, fmt.Errorf("%w: %s", ErrNotShareable, r.class)
 	}
-	if _, ok := h.m.topo.Compute(toCompute); !ok {
+	tci, ok := h.m.topo.ComputeIndex(toCompute)
+	if !ok {
 		return nil, fmt.Errorf("region: unknown compute device %q", toCompute)
 	}
-	if !h.m.topo.Addressable(toCompute, r.device.ID) {
+	if !h.m.topo.Reach(tci, r.mi).OK {
 		return nil, fmt.Errorf("region: %s cannot address %s", toCompute, r.device.ID)
 	}
 	if _, dup := r.owners[to]; dup {
@@ -554,8 +543,8 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 		r.addSharer(h.rank)
 		r.addSharer(rank)
 	}
-	h.m.reg.Add(telemetry.LayerRegion, "shares", 1)
-	return &Handle{m: h.m, id: r.id, gen: r.gen, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: rank}, nil
+	h.m.reg.Handle(ctrShares).Add(1)
+	return &Handle{m: h.m, id: r.id, gen: r.gen, owner: to, compute: toCompute, ci: tci, clock: h.clock, fence: h.fence, rank: rank}, nil
 }
 
 // addSharer inserts a rank into the region's ascending sharer set, ignoring

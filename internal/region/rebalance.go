@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -284,10 +283,10 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 			r.heat >>= 1
 		}
 	}
-	m.reg.Add(telemetry.LayerPlacement, "rebalance_promotions", int64(stats.Promoted))
-	m.reg.Add(telemetry.LayerPlacement, "rebalance_demotions", int64(stats.Demoted))
-	m.reg.Add(telemetry.LayerPlacement, "rebalance_exports", int64(stats.Exported))
-	m.reg.Add(telemetry.LayerPlacement, "rebalance_recalls", int64(stats.Recalled))
+	m.reg.Handle(ctrPromotions).Add(int64(stats.Promoted))
+	m.reg.Handle(ctrDemotions).Add(int64(stats.Demoted))
+	m.reg.Handle(ctrRebalanceExports).Add(int64(stats.Exported))
+	m.reg.Handle(ctrRebalanceRecalls).Add(int64(stats.Recalled))
 	return stats, nil
 }
 

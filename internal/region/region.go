@@ -42,6 +42,33 @@ var (
 	ErrSyncFarAccess = errors.New("region: synchronous access to async-only device")
 )
 
+// Counters the region layer reports.
+var (
+	ctrAllocs            = telemetry.DeclareCounter(telemetry.LayerRegion, "allocs")
+	ctrFrees             = telemetry.DeclareCounter(telemetry.LayerRegion, "frees")
+	ctrBytesAllocated    = telemetry.DeclareCounter(telemetry.LayerRegion, "bytes_allocated")
+	ctrBytesRead         = telemetry.DeclareCounter(telemetry.LayerRegion, "bytes_read")
+	ctrBytesWritten      = telemetry.DeclareCounter(telemetry.LayerRegion, "bytes_written")
+	ctrShares            = telemetry.DeclareCounter(telemetry.LayerRegion, "shares")
+	ctrTransfersZeroCopy = telemetry.DeclareCounter(telemetry.LayerRegion, "transfers_zero_copy")
+	ctrTransfersMigrated = telemetry.DeclareCounter(telemetry.LayerRegion, "transfers_migrated")
+	ctrMigrations        = telemetry.DeclareCounter(telemetry.LayerRegion, "migrations")
+	ctrBytesMigrated     = telemetry.DeclareCounter(telemetry.LayerRegion, "bytes_migrated")
+	ctrExports           = telemetry.DeclareCounter(telemetry.LayerRegion, "exports")
+	ctrBytesExported     = telemetry.DeclareCounter(telemetry.LayerRegion, "bytes_exported")
+	ctrRecalls           = telemetry.DeclareCounter(telemetry.LayerRegion, "recalls")
+	ctrBytesRecalled     = telemetry.DeclareCounter(telemetry.LayerRegion, "bytes_recalled")
+	ctrRecallVerbNs      = telemetry.DeclareCounter(telemetry.LayerRegion, "recall_verb_ns")
+	ctrTopologyMiss      = telemetry.DeclareCounter(telemetry.LayerCoherence, "topology_miss")
+	ctrInvalidations     = telemetry.DeclareCounter(telemetry.LayerCoherence, "invalidations")
+	ctrWritebacks        = telemetry.DeclareCounter(telemetry.LayerCoherence, "writebacks")
+	ctrFetches           = telemetry.DeclareCounter(telemetry.LayerCoherence, "fetches")
+	ctrPromotions        = telemetry.DeclareCounter(telemetry.LayerPlacement, "rebalance_promotions")
+	ctrDemotions         = telemetry.DeclareCounter(telemetry.LayerPlacement, "rebalance_demotions")
+	ctrRebalanceExports  = telemetry.DeclareCounter(telemetry.LayerPlacement, "rebalance_exports")
+	ctrRebalanceRecalls  = telemetry.DeclareCounter(telemetry.LayerPlacement, "rebalance_recalls")
+)
+
 // Owner identifies a task (or job, or application) holding a region.
 type Owner string
 
@@ -108,6 +135,7 @@ type Region struct {
 	class     props.RegionClass
 	req       props.Requirements
 	device    *memsim.Device
+	mi        int   // device's dense topology index
 	offset    int64 // offset within the device's buddy arena
 	size      int64
 	blockSize int64
@@ -282,7 +310,8 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	if spec.Owner == "" {
 		return nil, errors.New("region: owner required")
 	}
-	if _, ok := m.topo.Compute(spec.Compute); !ok {
+	ci, ok := m.topo.ComputeIndex(spec.Compute)
+	if !ok {
 		return nil, fmt.Errorf("region: unknown compute device %q", spec.Compute)
 	}
 	req, err := props.Merge(spec.Class.Defaults(), spec.Req)
@@ -313,17 +342,19 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 			return nil, fmt.Errorf("%w: %s for %s on %s: %v", ErrNoPlacement, req, spec.Name, spec.Compute, err)
 		}
 	}
-	dev, ok := m.topo.Memory(devID)
+	mi, ok := m.topo.MemoryIndex(devID)
 	if !ok {
 		return nil, fmt.Errorf("region: placer chose unknown device %q", devID)
 	}
+	reach := m.topo.Reach(ci, mi)
+	dev := reach.Mem
 	if dev.HardwareManaged {
 		return nil, fmt.Errorf("region: %s is hardware-managed and cannot host regions", devID)
 	}
-	caps, ok := m.topo.EffectiveCaps(spec.Compute, devID)
-	if !ok {
+	if !reach.OK {
 		return nil, fmt.Errorf("region: %s cannot address %s", spec.Compute, devID)
 	}
+	caps := reach.Live()
 	if ok, viol := req.Match(caps); !ok {
 		return nil, fmt.Errorf("%w: placer chose %s violating %v", ErrNoPlacement, devID, viol)
 	}
@@ -347,24 +378,25 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	m.nextID++
 	r := &Region{
 		id: id, name: spec.Name, class: spec.Class, req: req,
-		device: dev, offset: off, size: spec.Size, blockSize: block,
+		device: dev, mi: mi, offset: off, size: spec.Size, blockSize: block,
 		data:   m.getBacking(block, spec.Size),
 		sealed: req.Confidential && caps.Remote,
 		owners: map[Owner]string{spec.Owner: spec.Compute},
 	}
 	m.regions[id] = r
-	m.reg.Add(telemetry.LayerRegion, "allocs", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", block)
-	return &Handle{m: m, id: id, gen: r.gen, owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1}, nil
+	m.reg.Handle(ctrAllocs).Add(1)
+	m.reg.Handle(ctrBytesAllocated).Add(block)
+	return &Handle{m: m, id: id, gen: r.gen, owner: spec.Owner, compute: spec.Compute, ci: ci, clock: spec.Clock, rank: -1}, nil
 }
 
-// accessTime routes a virtual memory access through the handle's clock when
-// one is set, falling back to the device-global queues.
-func (m *Manager) accessTime(clk topology.VClock, computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
+// accessTime routes a virtual memory access from compute ci to memory mi
+// through the handle's clock when one is set, falling back to the
+// device-global queues.
+func (m *Manager) accessTime(clk topology.VClock, ci, mi int, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
 	if clk != nil {
-		return clk.AccessTime(computeID, memID, now, size, kind, pat)
+		return clk.AccessAt(ci, mi, now, size, kind, pat)
 	}
-	return m.topo.AccessTime(computeID, memID, now, size, kind, pat)
+	return m.topo.AccessAt(ci, mi, now, size, kind, pat)
 }
 
 // lookup returns the live region for a handle. Caller holds m.mu.
@@ -395,8 +427,8 @@ func (m *Manager) free(r *Region) {
 		}
 		m.dir.DropRegion(uint64(r.id))
 		delete(m.regions, r.id)
-		m.reg.Add(telemetry.LayerRegion, "frees", 1)
-		m.reg.Add(telemetry.LayerRegion, "bytes_allocated", -r.blockSize)
+		m.reg.Handle(ctrFrees).Add(1)
+		m.reg.Handle(ctrBytesAllocated).Add(-r.blockSize)
 		return
 	}
 	if b, ok := m.buddies[r.device.ID]; ok {
@@ -410,8 +442,8 @@ func (m *Manager) free(r *Region) {
 	r.dataMu.Unlock()
 	m.putBacking(r.blockSize, buf)
 	delete(m.regions, r.id)
-	m.reg.Add(telemetry.LayerRegion, "frees", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", -r.blockSize)
+	m.reg.Handle(ctrFrees).Add(1)
+	m.reg.Handle(ctrBytesAllocated).Add(-r.blockSize)
 }
 
 // Live returns the number of live regions (leak checks in tests).
@@ -445,16 +477,12 @@ type FirstFit struct {
 
 // Place implements Placer.
 func (f FirstFit) Place(req props.Requirements, computeID string) (string, error) {
-	for _, dev := range f.Topo.Memories() {
-		if dev.HardwareManaged {
-			continue
-		}
-		caps, ok := f.Topo.EffectiveCaps(computeID, dev.ID)
-		if !ok {
-			continue
-		}
-		if ok, _ := req.Match(caps); ok {
-			return dev.ID, nil
+	if ci, ok := f.Topo.ComputeIndex(computeID); ok {
+		row := f.Topo.Row(ci)
+		for mi := range row {
+			if e := &row[mi]; !e.Mem.HardwareManaged && e.Admits(req) {
+				return e.Mem.ID, nil
+			}
 		}
 	}
 	return "", fmt.Errorf("no matching device for %s from %s", req, computeID)

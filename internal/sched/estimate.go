@@ -32,49 +32,60 @@ type Estimate struct {
 	Tasks int
 }
 
-// upwardRanks computes the HEFT cost-model primitives shared by scheduling
-// and estimation: the topological order, each task's mean execution time
-// across its eligible devices, and each task's upward rank (critical-path
-// length to a sink under mean costs).
-func upwardRanks(job *dataflow.Job, topo *topology.Topology) ([]*dataflow.Task, map[*dataflow.Task]time.Duration, map[*dataflow.Task]time.Duration, error) {
-	order, err := job.TopoOrder()
+// costModel holds the HEFT cost-model primitives shared by scheduling and
+// estimation: the topological order and, indexed by task insertion index,
+// each task's eligible compute devices, its mean execution time across
+// them, and its upward rank (critical-path length to a sink under mean
+// costs).
+type costModel struct {
+	order    []*dataflow.Task
+	eligible [][]int
+	meanExec []time.Duration
+	rank     []time.Duration
+}
+
+// newCostModel validates the job and computes its cost model.
+func newCostModel(job *dataflow.Job, topo *topology.Topology) (*costModel, error) {
+	order, err := job.ValidOrder()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	meanExec := make(map[*dataflow.Task]time.Duration, len(order))
+	n := len(order)
+	cm := &costModel{
+		order:    order,
+		eligible: make([][]int, n),
+		meanExec: make([]time.Duration, n),
+		rank:     make([]time.Duration, n),
+	}
 	for _, t := range order {
 		devs := eligible(t, topo)
 		if len(devs) == 0 {
-			return nil, nil, nil, fmt.Errorf("%w: %s wants %s", ErrNoDevice, t.ID(), t.Props().Compute)
+			return nil, fmt.Errorf("%w: %s wants %s", ErrNoDevice, t.ID(), t.Props().Compute)
 		}
 		var sum time.Duration
-		for _, d := range devs {
-			sum += execTime(t, d)
+		for _, ci := range devs {
+			sum += execTime(t, topo.ComputeAt(ci))
 		}
-		meanExec[t] = sum / time.Duration(len(devs))
+		cm.eligible[t.Index()] = devs
+		cm.meanExec[t.Index()] = sum / time.Duration(len(devs))
 	}
-	// Mean communication: a representative cross-device figure.
-	meanComm := func(t *dataflow.Task) time.Duration {
-		b := t.Props().OutputBytes
-		if b <= 0 {
-			return 0
-		}
-		return time.Duration(float64(b) / 20e9 * float64(time.Second))
-	}
-	// Upward ranks, computed in reverse topological order.
-	rank := make(map[*dataflow.Task]time.Duration, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
+	// Upward ranks, computed in reverse topological order. Mean
+	// communication is a representative cross-device figure.
+	for i := n - 1; i >= 0; i-- {
 		t := order[i]
+		var comm time.Duration
+		if b := t.Props().OutputBytes; b > 0 {
+			comm = time.Duration(float64(b) / 20e9 * float64(time.Second))
+		}
 		var max time.Duration
 		for _, s := range t.Succs() {
-			v := meanComm(t) + rank[s]
-			if v > max {
+			if v := comm + cm.rank[s.Index()]; v > max {
 				max = v
 			}
 		}
-		rank[t] = meanExec[t] + max
+		cm.rank[t.Index()] = cm.meanExec[t.Index()] + max
 	}
-	return order, meanExec, rank, nil
+	return cm, nil
 }
 
 // EstimateJob prices a job on an idle topology with scheduler s (nil gives
@@ -86,19 +97,24 @@ func EstimateJob(job *dataflow.Job, topo *topology.Topology, s Scheduler) (Estim
 	if s == nil {
 		s = HEFT{}
 	}
-	schedule, err := s.Schedule(job, topo)
+	var (
+		schedule *Schedule
+		cm       *costModel
+		err      error
+	)
+	if h, ok := s.(HEFT); ok {
+		schedule, cm, err = h.plan(job, topo, nil) // one cost model serves both
+	} else if schedule, err = s.Schedule(job, topo); err == nil {
+		cm, err = newCostModel(job, topo)
+	}
 	if err != nil {
 		return Estimate{}, nil, err
 	}
-	order, meanExec, rank, err := upwardRanks(job, topo)
-	if err != nil {
-		return Estimate{}, nil, err
-	}
-	est := Estimate{Makespan: schedule.Makespan, Tasks: len(order)}
-	for _, t := range order {
-		est.TotalWork += meanExec[t]
-		if rank[t] > est.CriticalPath {
-			est.CriticalPath = rank[t]
+	est := Estimate{Makespan: schedule.Makespan, Tasks: len(cm.order)}
+	for _, t := range cm.order {
+		est.TotalWork += cm.meanExec[t.Index()]
+		if r := cm.rank[t.Index()]; r > est.CriticalPath {
+			est.CriticalPath = r
 		}
 	}
 	return est, schedule, nil

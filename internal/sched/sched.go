@@ -74,12 +74,10 @@ type Scheduler interface {
 // ErrNoDevice is returned when a task's device preference cannot be met.
 var ErrNoDevice = errors.New("sched: no compute device satisfies the task's preference")
 
-// eligible returns the compute devices a task may run on.
-func eligible(t *dataflow.Task, topo *topology.Topology) []*topology.ComputeDevice {
-	if kind, ok := t.Props().Compute.Kind(); ok {
-		return topo.ComputesByKind(kind)
-	}
-	return topo.Computes()
+// eligible returns the dense indices of the compute devices a task may run
+// on (precomputed per ComputeKind by the topology).
+func eligible(t *dataflow.Task, topo *topology.Topology) []int {
+	return topo.ComputeIndices(t.Props().Compute.Kind())
 }
 
 // execTime estimates a task's run time on a device from its declared Ops.
@@ -92,13 +90,14 @@ func execTime(t *dataflow.Task, c *topology.ComputeDevice) time.Duration {
 }
 
 // commTime estimates moving `bytes` from the producer's device to the
-// consumer's. Same device → free (ownership transfer, Fig. 4). Otherwise we
-// price the cheapest path between the two compute endpoints.
-func commTime(topo *topology.Topology, from, to string, bytes int64) time.Duration {
+// consumer's (dense compute indices). Same device → free (ownership
+// transfer, Fig. 4). Otherwise we price the cheapest path between the two
+// compute endpoints.
+func commTime(topo *topology.Topology, from, to int, bytes int64) time.Duration {
 	if from == to || bytes <= 0 {
 		return 0
 	}
-	p, ok := topo.Path(from, to)
+	p, ok := topo.ComputePath(from, to)
 	if !ok {
 		return time.Millisecond // effectively discourages the pairing
 	}
@@ -106,26 +105,59 @@ func commTime(topo *topology.Topology, from, to string, bytes int64) time.Durati
 	return p.Latency + xfer
 }
 
-// coreState tracks per-core availability for one compute device.
-type coreState struct {
-	cores []time.Duration
+// cores is every compute device's per-core availability, indexed by dense
+// compute index, carved out of one backing slice.
+type cores [][]time.Duration
+
+// newCores sizes the core table for topo; initial[device ID] gives per-core
+// times before which nothing can start.
+func newCores(topo *topology.Topology, initial map[string][]time.Duration) cores {
+	n := topo.NumComputes()
+	total := 0
+	for ci := 0; ci < n; ci++ {
+		total += topo.ComputeAt(ci).Cores
+	}
+	flat := make([]time.Duration, total)
+	cs := make(cores, n)
+	for ci := 0; ci < n; ci++ {
+		c := topo.ComputeAt(ci)
+		cs[ci], flat = flat[:c.Cores:c.Cores], flat[c.Cores:]
+		if initial != nil {
+			copy(cs[ci], initial[c.ID])
+		}
+	}
+	return cs
 }
 
-func newCoreState(c *topology.ComputeDevice, initial []time.Duration) *coreState {
-	cores := make([]time.Duration, c.Cores)
-	copy(cores, initial)
-	return &coreState{cores: cores}
-}
-
-// earliest returns the index and free time of the first available core.
-func (cs *coreState) earliest() (int, time.Duration) {
-	best, bestAt := 0, cs.cores[0]
-	for i, at := range cs.cores {
+// earliest returns the index and free time of compute ci's first available
+// core.
+func (cs cores) earliest(ci int) (int, time.Duration) {
+	best, bestAt := 0, cs[ci][0]
+	for i, at := range cs[ci] {
 		if at < bestAt {
 			best, bestAt = i, at
 		}
 	}
 	return best, bestAt
+}
+
+// placed is the per-task state of a list schedule, indexed by task
+// insertion index: where each placed task runs and when it finishes.
+type placed struct {
+	on     []int
+	finish []time.Duration
+}
+
+// readyAt is when every predecessor's output has arrived at compute ci.
+func (p *placed) readyAt(topo *topology.Topology, preds []*dataflow.Task, ci int) time.Duration {
+	var ready time.Duration
+	for _, q := range preds {
+		arr := p.finish[q.Index()] + commTime(topo, p.on[q.Index()], ci, q.Props().OutputBytes)
+		if arr > ready {
+			ready = arr
+		}
+	}
+	return ready
 }
 
 // HEFT is the cost-model scheduler.
@@ -142,66 +174,63 @@ func (h HEFT) Schedule(job *dataflow.Job, topo *topology.Topology) (*Schedule, e
 // ScheduleLoaded plans the job onto a machine that is already busy:
 // initial[device] gives per-core times before which nothing can start —
 // how the runtime packs concurrently submitted jobs across the cluster.
-func (HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial map[string][]time.Duration) (*Schedule, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-	order, _, rank, err := upwardRanks(job, topo)
+func (h HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial map[string][]time.Duration) (*Schedule, error) {
+	s, _, err := h.plan(job, topo, initial)
+	return s, err
+}
+
+// plan is ScheduleLoaded returning the cost model it planned with, so
+// EstimateJob derives its figures without recomputing the ranks.
+func (HEFT) plan(job *dataflow.Job, topo *topology.Topology, initial map[string][]time.Duration) (*Schedule, *costModel, error) {
+	cm, err := newCostModel(job, topo)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	order := cm.order
 	// Priority: rank descending (ties by topological position for
 	// determinism and dependency safety).
-	pos := make(map[*dataflow.Task]int, len(order))
+	pos := make([]int, len(order))
 	for i, t := range order {
-		pos[t] = i
+		pos[t.Index()] = i
 	}
 	prio := append([]*dataflow.Task(nil), order...)
 	sort.SliceStable(prio, func(a, b int) bool {
-		if rank[prio[a]] != rank[prio[b]] {
-			return rank[prio[a]] > rank[prio[b]]
+		ra, rb := cm.rank[prio[a].Index()], cm.rank[prio[b].Index()]
+		if ra != rb {
+			return ra > rb
 		}
-		return pos[prio[a]] < pos[prio[b]]
+		return pos[prio[a].Index()] < pos[prio[b].Index()]
 	})
 
-	states := make(map[string]*coreState)
-	for _, c := range topo.Computes() {
-		states[c.ID] = newCoreState(c, initial[c.ID])
-	}
+	cs := newCores(topo, initial)
+	pl := placed{on: make([]int, len(order)), finish: make([]time.Duration, len(order))}
 	asg := make(map[string]Assignment, len(order))
-	placedOn := make(map[*dataflow.Task]string, len(order))
 	var makespan time.Duration
 	for _, t := range prio {
-		bestDev, bestCore := "", -1
+		preds := t.Preds()
+		bestDev, bestCore := -1, -1
 		var bestStart, bestFinish time.Duration
-		for _, c := range eligible(t, topo) {
-			// Ready time: all predecessor outputs delivered to c.
-			var ready time.Duration
-			for _, p := range t.Preds() {
-				pa := asg[p.ID()]
-				arr := pa.Finish + commTime(topo, placedOn[p], c.ID, p.Props().OutputBytes)
-				if arr > ready {
-					ready = arr
-				}
-			}
-			core, free := states[c.ID].earliest()
-			start := ready
+		for _, ci := range cm.eligible[t.Index()] {
+			// Ready time: all predecessor outputs delivered to ci.
+			start := pl.readyAt(topo, preds, ci)
+			core, free := cs.earliest(ci)
 			if free > start {
 				start = free
 			}
-			finish := start + execTime(t, c)
-			if bestDev == "" || finish < bestFinish {
-				bestDev, bestCore, bestStart, bestFinish = c.ID, core, start, finish
+			finish := start + execTime(t, topo.ComputeAt(ci))
+			if bestDev < 0 || finish < bestFinish {
+				bestDev, bestCore, bestStart, bestFinish = ci, core, start, finish
 			}
 		}
-		states[bestDev].cores[bestCore] = bestFinish
-		asg[t.ID()] = Assignment{Task: t.ID(), Compute: bestDev, Start: bestStart, Finish: bestFinish}
-		placedOn[t] = bestDev
+		cs[bestDev][bestCore] = bestFinish
+		id := topo.ComputeAt(bestDev).ID
+		asg[t.ID()] = Assignment{Task: t.ID(), Compute: id, Start: bestStart, Finish: bestFinish}
+		pl.on[t.Index()], pl.finish[t.Index()] = bestDev, bestFinish
 		if bestFinish > makespan {
 			makespan = bestFinish
 		}
 	}
-	return &Schedule{Policy: "HEFT", Assignments: asg, Makespan: makespan}, nil
+	return &Schedule{Policy: "HEFT", Assignments: asg, Makespan: makespan}, cm, nil
 }
 
 // FIFO assigns tasks in topological order to the first eligible device kind
@@ -213,7 +242,7 @@ func (FIFO) Name() string { return "FIFO" }
 
 // Schedule implements Scheduler.
 func (FIFO) Schedule(job *dataflow.Job, topo *topology.Topology) (*Schedule, error) {
-	return listSchedule(job, topo, "FIFO", func(t *dataflow.Task, devs []*topology.ComputeDevice, i int) *topology.ComputeDevice {
+	return listSchedule(job, topo, "FIFO", func(devs []int, i int) int {
 		return devs[0]
 	})
 }
@@ -227,51 +256,38 @@ func (RoundRobin) Name() string { return "round-robin" }
 
 // Schedule implements Scheduler.
 func (RoundRobin) Schedule(job *dataflow.Job, topo *topology.Topology) (*Schedule, error) {
-	return listSchedule(job, topo, "round-robin", func(t *dataflow.Task, devs []*topology.ComputeDevice, i int) *topology.ComputeDevice {
+	return listSchedule(job, topo, "round-robin", func(devs []int, i int) int {
 		return devs[i%len(devs)]
 	})
 }
 
-// listSchedule is the shared machinery of the naive baselines.
-func listSchedule(job *dataflow.Job, topo *topology.Topology, policy string,
-	pick func(*dataflow.Task, []*topology.ComputeDevice, int) *topology.ComputeDevice) (*Schedule, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := job.TopoOrder()
+// listSchedule is the shared machinery of the naive baselines: pick chooses
+// among the eligible dense compute indices of the i-th task in
+// topological order.
+func listSchedule(job *dataflow.Job, topo *topology.Topology, policy string, pick func(devs []int, i int) int) (*Schedule, error) {
+	order, err := job.ValidOrder()
 	if err != nil {
 		return nil, err
 	}
-	states := make(map[string]*coreState)
-	for _, c := range topo.Computes() {
-		states[c.ID] = newCoreState(c, nil)
-	}
+	cs := newCores(topo, nil)
+	pl := placed{on: make([]int, len(order)), finish: make([]time.Duration, len(order))}
 	asg := make(map[string]Assignment, len(order))
-	placedOn := make(map[*dataflow.Task]string, len(order))
 	var makespan time.Duration
 	for i, t := range order {
 		devs := eligible(t, topo)
 		if len(devs) == 0 {
 			return nil, fmt.Errorf("%w: %s wants %s", ErrNoDevice, t.ID(), t.Props().Compute)
 		}
-		c := pick(t, devs, i)
-		var ready time.Duration
-		for _, p := range t.Preds() {
-			pa := asg[p.ID()]
-			arr := pa.Finish + commTime(topo, placedOn[p], c.ID, p.Props().OutputBytes)
-			if arr > ready {
-				ready = arr
-			}
-		}
-		core, free := states[c.ID].earliest()
-		start := ready
+		ci := pick(devs, i)
+		start := pl.readyAt(topo, t.Preds(), ci)
+		core, free := cs.earliest(ci)
 		if free > start {
 			start = free
 		}
-		finish := start + execTime(t, c)
-		states[c.ID].cores[core] = finish
-		asg[t.ID()] = Assignment{Task: t.ID(), Compute: c.ID, Start: start, Finish: finish}
-		placedOn[t] = c.ID
+		finish := start + execTime(t, topo.ComputeAt(ci))
+		cs[ci][core] = finish
+		asg[t.ID()] = Assignment{Task: t.ID(), Compute: topo.ComputeAt(ci).ID, Start: start, Finish: finish}
+		pl.on[t.Index()], pl.finish[t.Index()] = ci, finish
 		if finish > makespan {
 			makespan = finish
 		}

@@ -292,3 +292,48 @@ func BenchmarkHEFT(b *testing.B) {
 		}
 	}
 }
+
+// TestEstimateJobOneCostModel: HEFT's estimate comes from the cost model it
+// planned with; it must equal the two-pass figure (plan, then a fresh cost
+// model) that any other scheduler gets.
+func TestEstimateJobOneCostModel(t *testing.T) {
+	topo := testbed(t)
+	for _, job := range []*dataflow.Job{chainJob(6, 1e6), fanoutJob(8, 1e6)} {
+		est, plan, err := EstimateJob(job, topo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := HEFT{}.Schedule(job, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := newCostModel(job, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Estimate{Makespan: again.Makespan, Tasks: job.Len()}
+		for _, t := range cm.order {
+			want.TotalWork += cm.meanExec[t.Index()]
+			if r := cm.rank[t.Index()]; r > want.CriticalPath {
+				want.CriticalPath = r
+			}
+		}
+		if est != want || plan.Makespan != again.Makespan {
+			t.Errorf("%s: estimate %+v, two-pass %+v", job.Name(), est, want)
+		}
+	}
+}
+
+// BenchmarkEstimateJob is SLO admission's per-submission pricing: one HEFT
+// plan plus the estimate derived from its cost model.
+func BenchmarkEstimateJob(b *testing.B) {
+	topo := testbed(b)
+	job := fanoutJob(4, 1e6)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EstimateJob(job, topo, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -26,6 +26,14 @@ var (
 	ErrClosed = errors.New("shard: cluster closed")
 )
 
+// Counters the routing front end reports.
+var (
+	ctrShardDown          = telemetry.DeclareCounter(telemetry.LayerRuntime, "shard_down")
+	ctrShardLedgerAdopted = telemetry.DeclareCounter(telemetry.LayerRuntime, "shard_ledger_adopted")
+	ctrShardRerouted      = telemetry.DeclareCounter(telemetry.LayerRuntime, "shard_rerouted")
+	ctrShardUp            = telemetry.DeclareCounter(telemetry.LayerRuntime, "shard_up")
+)
+
 // ledgerRecordBytes is the size of one admission record in a shard's ledger
 // slab: signature, routed ticket id, arrival, deadline — 8 bytes each.
 const ledgerRecordBytes = 32
@@ -515,7 +523,7 @@ func (c *Cluster) markDown(sh *Shard) {
 	}
 	sh.mu.Unlock()
 	if !wasDown {
-		c.tel.Add(telemetry.LayerRuntime, "shard_down", 1)
+		c.tel.Handle(ctrShardDown).Add(1)
 		for _, cf := range cancels {
 			cf()
 		}
@@ -554,7 +562,7 @@ func (c *Cluster) revive(sh *Shard) error {
 	sh.down = false
 	sh.adopted = false
 	sh.mu.Unlock()
-	c.tel.Add(telemetry.LayerRuntime, "shard_up", 1)
+	c.tel.Handle(ctrShardUp).Add(1)
 	return nil
 }
 
@@ -788,7 +796,7 @@ func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *co
 			return
 		}
 		next.rerouted.Add(1)
-		c.tel.Add(telemetry.LayerRuntime, "shard_rerouted", 1)
+		c.tel.Handle(ctrShardRerouted).Add(1)
 		sh, tk, cleanup = next, ntk, ncleanup
 	}
 }
@@ -813,7 +821,7 @@ func (c *Cluster) failover(dead *Shard, sig uint64, ticketID uint64, opt core.Su
 		// not consulted. Errors are tolerable (e.g. a second front end
 		// already moved it): the lease is advisory metadata for stats.
 		c.fabric.Handoff(slab, dead.name, next.name) //nolint:errcheck
-		c.tel.Add(telemetry.LayerRuntime, "shard_ledger_adopted", 1)
+		c.tel.Handle(ctrShardLedgerAdopted).Add(1)
 	}
 	c.ledgerWrite(next, sig, ticketID, opt)
 	return next, nil

@@ -33,10 +33,12 @@ const (
 // NewRegistry. A nil *Registry is a valid no-op sink, so hot paths can be
 // instrumented unconditionally.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]int64
-	spans    []Span
-	hists    map[string]*Histogram
+	fixed []Counter // declared counters, by CounterID slot
+
+	mu    sync.Mutex
+	extra map[metricKey]*Counter // counters named only at run time
+	spans []Span
+	hists map[metricKey]*Histogram
 }
 
 // Span is one attributed slice of simulated time.
@@ -54,18 +56,23 @@ func (s Span) Duration() time.Duration { return s.End - s.Start }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: make(map[string]int64), hists: make(map[string]*Histogram)}
+	declared.mu.Lock()
+	n := len(declared.keys)
+	declared.mu.Unlock()
+	return &Registry{
+		fixed: make([]Counter, n),
+		extra: make(map[metricKey]*Counter),
+		hists: make(map[metricKey]*Histogram),
+	}
 }
 
-// Add increments a named counter. Nil-safe.
+// Add increments a named counter — the string form of Handle(id).Add.
+// Nil-safe.
 func (r *Registry) Add(layer Layer, name string, delta int64) {
 	if r == nil {
 		return
 	}
-	key := string(layer) + "/" + name
-	r.mu.Lock()
-	r.counters[key] += delta
-	r.mu.Unlock()
+	r.named(metricKey{layer, name}, true).Add(delta)
 }
 
 // Counter reads a counter (0 if absent). Nil-safe.
@@ -73,9 +80,7 @@ func (r *Registry) Counter(layer Layer, name string) int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[string(layer)+"/"+name]
+	return r.named(metricKey{layer, name}, false).Load()
 }
 
 // Observe records one sample into the named histogram, creating it with
@@ -85,7 +90,7 @@ func (r *Registry) Observe(layer Layer, name string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	key := string(layer) + "/" + name
+	key := metricKey{layer, name}
 	r.mu.Lock()
 	h, ok := r.hists[key]
 	if !ok {
@@ -104,7 +109,7 @@ func (r *Registry) Hist(layer Layer, name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.hists[string(layer)+"/"+name]
+	return r.hists[metricKey{layer, name}]
 }
 
 // Record stores a completed span. Nil-safe.
@@ -132,29 +137,47 @@ func (r *Registry) Spans() []Span {
 	return out
 }
 
-// Counters returns a sorted copy of all counters. Nil-safe.
+// Counters returns a copy of every counter added to since the last Reset,
+// keyed "layer/name". Nil-safe.
 func (r *Registry) Counters() map[string]int64 {
 	if r == nil {
 		return nil
 	}
+	out := make(map[string]int64)
+	declared.mu.Lock()
+	keys := declared.keys[:len(r.fixed)]
+	declared.mu.Unlock()
+	for slot := range r.fixed {
+		if c := &r.fixed[slot]; c.touched.Load() {
+			out[keys[slot].String()] = c.Load()
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
+	for k, c := range r.extra {
+		if c.touched.Load() {
+			out[k.String()] = c.Load()
+		}
 	}
 	return out
 }
 
-// Reset clears all state. Nil-safe.
+func (k metricKey) String() string { return string(k.layer) + "/" + k.name }
+
+// Reset clears all state. Handles stay valid. Nil-safe.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
+	for slot := range r.fixed {
+		r.fixed[slot].reset()
+	}
 	r.mu.Lock()
-	r.counters = make(map[string]int64)
+	for _, c := range r.extra {
+		c.reset()
+	}
 	r.spans = nil
-	r.hists = make(map[string]*Histogram)
+	r.hists = make(map[metricKey]*Histogram)
 	r.mu.Unlock()
 }
 
@@ -206,7 +229,7 @@ func (r *Registry) Report() string {
 	r.mu.Lock()
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, h := range r.hists {
-		hists[k] = h
+		hists[k.String()] = h
 	}
 	r.mu.Unlock()
 	if len(hists) > 0 {

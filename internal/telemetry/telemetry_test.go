@@ -297,3 +297,109 @@ func TestReportIncludesHistograms(t *testing.T) {
 		t.Error("Reset must clear histograms")
 	}
 }
+
+var testCounter = DeclareCounter(LayerRegion, "bytes_read")
+
+// TestCounterHandleSharesNamedCounter: a declared handle and the string
+// form address the same counter, Reset zeroes it without invalidating the
+// handle, and a counter only appears in Counters once added to.
+func TestCounterHandleSharesNamedCounter(t *testing.T) {
+	r := NewRegistry()
+	h := r.Handle(testCounter)
+	if _, ok := r.Counters()["region/bytes_read"]; ok {
+		t.Fatal("an untouched declared counter must not be reported")
+	}
+	h.Add(0)
+	if v, ok := r.Counters()["region/bytes_read"]; !ok || v != 0 {
+		t.Errorf("adding zero must report the counter at 0, got %d, %t", v, ok)
+	}
+	h.Add(3)
+	r.Add(LayerRegion, "bytes_read", 4)
+	if got := r.Counter(LayerRegion, "bytes_read"); got != 7 {
+		t.Errorf("counter = %d, want 7", got)
+	}
+	r.Reset()
+	if _, ok := r.Counters()["region/bytes_read"]; ok {
+		t.Error("Reset must clear the counter")
+	}
+	h.Add(1)
+	if got := r.Counter(LayerRegion, "bytes_read"); got != 1 {
+		t.Errorf("handle after Reset = %d, want 1", got)
+	}
+	var nilReg *Registry
+	nilReg.Handle(testCounter).Add(1) // must not panic
+	if r.Handle(CounterID{}) != nil {
+		t.Error("the zero CounterID must not alias a declared counter")
+	}
+}
+
+// TestCounterDeclaredAfterRegistry: a counter declared after a registry was
+// built still works through both forms.
+func TestCounterDeclaredAfterRegistry(t *testing.T) {
+	r := NewRegistry()
+	late := DeclareCounter(LayerApp, "declared_late")
+	r.Handle(late).Add(2)
+	r.Add(LayerApp, "declared_late", 1)
+	if got := r.Counter(LayerApp, "declared_late"); got != 3 {
+		t.Errorf("late counter = %d, want 3", got)
+	}
+	if got := r.Counters()["app/declared_late"]; got != 3 {
+		t.Errorf("Counters() late counter = %d, want 3", got)
+	}
+}
+
+// TestCounterHandleConcurrent: handle bumps, string-form bumps and
+// snapshots of one declared counter from several goroutines (run under
+// -race) lose no update.
+func TestCounterHandleConcurrent(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := r.Handle(testCounter)
+			for i := 0; i < 1000; i++ {
+				if g%2 == 0 {
+					h.Add(1)
+				} else {
+					r.Add(LayerRegion, "bytes_read", 1)
+				}
+				if i%100 == 0 {
+					r.Counters()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := r.Counter(LayerRegion, "bytes_read"); got != 8000 {
+		t.Errorf("bytes_read = %d, want 8000", got)
+	}
+}
+
+// TestCounterAddZeroAlloc gates the hot-path bump at zero allocations.
+func TestCounterAddZeroAlloc(t *testing.T) {
+	c := NewRegistry().Handle(testCounter)
+	if n := testing.AllocsPerRun(100, func() { c.Add(1) }); n != 0 {
+		t.Errorf("Counter.Add allocates %.0f per call, want 0", n)
+	}
+}
+
+// BenchmarkCounterAdd is one hot-path counter bump through a declared
+// handle.
+func BenchmarkCounterAdd(b *testing.B) {
+	c := NewRegistry().Handle(testCounter)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Add(1)
+	}
+}
+
+// BenchmarkRegistryAdd is the same bump through the string form.
+func BenchmarkRegistryAdd(b *testing.B) {
+	r := NewRegistry()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Add(LayerRegion, "bytes_read", 1)
+	}
+}

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -27,7 +26,7 @@ type Epoch struct {
 	topo *Topology
 
 	mu   sync.Mutex
-	busy map[string]time.Duration // memory device ID → queue drain time
+	busy queues
 }
 
 // VClock is a virtual-time view of the memory device queues: the contract
@@ -37,16 +36,61 @@ type Epoch struct {
 type VClock interface {
 	// Topology returns the shared hardware graph this clock runs on.
 	Topology() *Topology
-	// BusyUntil returns the view-local queue drain time of a memory device.
-	BusyUntil(memID string) time.Duration
-	// AccessTime is Topology.AccessTime against this view's queue state.
-	AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error)
+	// BusyAt returns the view-local queue drain time of the memory device
+	// with dense index mi.
+	BusyAt(mi int) time.Duration
+	// AccessAt is Topology.AccessAt against this view's queue state.
+	AccessAt(ci, mi int, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error)
+}
+
+// queues is a view's queue drain times, indexed by memory device. It may be
+// shorter than the device list (a fresh view, or devices added later):
+// missing entries read as drained.
+type queues []time.Duration
+
+func (q queues) at(mi int) time.Duration {
+	if mi < len(q) {
+		return q[mi]
+	}
+	return 0
+}
+
+// grow extends q to n entries, reusing its capacity — a pooled view
+// reaches its full length once and keeps it.
+func (q *queues) grow(n int) {
+	if len(*q) < n {
+		*q = append(*q, make(queues, n-len(*q))...)
+	}
+}
+
+// maxIn folds o in as an element-wise max.
+func (q *queues) maxIn(o queues) {
+	q.grow(len(o))
+	for mi, t := range o {
+		if t > (*q)[mi] {
+			(*q)[mi] = t
+		}
+	}
+}
+
+// accessQueued prices an access from compute ci to memory mi against the
+// queue state q and advances q — the pricing shared by Epoch and TaskView.
+func (t *Topology) accessQueued(q *queues, ci, mi int, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
+	e := t.Reach(ci, mi)
+	if !e.OK {
+		return 0, t.noPath(ci, mi)
+	}
+	q.grow(len(t.memories))
+	done, busy := e.Mem.AccessQueued((*q)[mi], now+e.Path.Latency, size, kind, pat)
+	(*q)[mi] = busy
+	done += pathStretch(e.Path, e.Mem, size)
+	return done + e.Path.Latency, nil
 }
 
 // NewEpoch starts a fresh virtual-time epoch on this topology: every device
 // queue is seen as drained at t=0.
 func (t *Topology) NewEpoch() *Epoch {
-	return &Epoch{topo: t, busy: make(map[string]time.Duration)}
+	return &Epoch{topo: t}
 }
 
 // Topology returns the shared hardware graph this epoch runs on.
@@ -55,31 +99,29 @@ func (e *Epoch) Topology() *Topology { return e.topo }
 // BusyUntil returns the epoch-local queue drain time of a memory device —
 // the contention signal epoch-aware placers steer by.
 func (e *Epoch) BusyUntil(memID string) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.busy[memID]
+	mi, ok := e.topo.MemoryIndex(memID)
+	if !ok {
+		return 0
+	}
+	return e.BusyAt(mi)
 }
 
-// AccessTime is Topology.AccessTime against this epoch's queue state: the
-// virtual completion time of a memory access of size bytes issued by
-// computeID against memID at virtual time now. Path latency both ways is
-// added to the epoch-local queued service time, and transfer time is
-// stretched if the path is narrower than the device.
-func (e *Epoch) AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
-	mem, ok := e.topo.memories[memID]
-	if !ok {
-		return 0, fmt.Errorf("topology: unknown memory device %q", memID)
-	}
-	path, ok := e.topo.Path(computeID, memID)
-	if !ok {
-		return 0, fmt.Errorf("topology: no path %s→%s", computeID, memID)
-	}
+// BusyAt is BusyUntil by dense memory index.
+func (e *Epoch) BusyAt(mi int) time.Duration {
 	e.mu.Lock()
-	done, busy := mem.AccessQueued(e.busy[memID], now+path.Latency, size, kind, pat)
-	e.busy[memID] = busy
-	e.mu.Unlock()
-	done += pathStretch(path, mem, size)
-	return done + path.Latency, nil
+	defer e.mu.Unlock()
+	return e.busy.at(mi)
+}
+
+// AccessAt is Topology.AccessAt against this epoch's queue state: the
+// virtual completion time of a memory access of size bytes issued by
+// compute ci against memory mi at virtual time now. Path latency both ways
+// is added to the epoch-local queued service time, and transfer time is
+// stretched if the path is narrower than the device.
+func (e *Epoch) AccessAt(ci, mi int, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.topo.accessQueued(&e.busy, ci, mi, now, size, kind, pat)
 }
 
 // View snapshots the epoch's current queue state into a fresh TaskView.
@@ -88,11 +130,7 @@ func (e *Epoch) AccessTime(computeID, memID string, now time.Duration, size int6
 func (e *Epoch) View() *TaskView {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	busy := make(map[string]time.Duration, len(e.busy))
-	for id, t := range e.busy {
-		busy[id] = t
-	}
-	return &TaskView{topo: e.topo, busy: busy}
+	return &TaskView{topo: e.topo, busy: append(queues(nil), e.busy...)}
 }
 
 // Absorb folds a finished task's queue state back into the epoch as an
@@ -105,11 +143,7 @@ func (e *Epoch) Absorb(v *TaskView) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for id, t := range v.busy {
-		if t > e.busy[id] {
-			e.busy[id] = t
-		}
-	}
+	e.busy.maxIn(v.busy)
 }
 
 // AbsorbViews folds several task views into the epoch under one lock
@@ -120,13 +154,8 @@ func (e *Epoch) AbsorbViews(vs ...*TaskView) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, v := range vs {
-		if v == nil {
-			continue
-		}
-		for id, t := range v.busy {
-			if t > e.busy[id] {
-				e.busy[id] = t
-			}
+		if v != nil {
+			e.busy.maxIn(v.busy)
 		}
 	}
 }
@@ -143,16 +172,16 @@ func (e *Epoch) AbsorbViews(vs ...*TaskView) {
 // is synchronized by the wavefront dispatcher.
 type TaskView struct {
 	topo *Topology
-	busy map[string]time.Duration
+	busy queues
 }
 
-// viewPool recycles TaskViews (and, most importantly, their busy maps): a
-// wavefront allocates one view per task, and on short serving batches the
-// per-task map churn was a measurable slice of the determinism tax. Views
+// viewPool recycles TaskViews (and, most importantly, their queue slices):
+// a wavefront allocates one view per task, and on short serving batches the
+// per-task churn was a measurable slice of the determinism tax. Views
 // enter the pool through PutTaskView once their run has absorbed them and
 // released every region that could price through them.
 var viewPool = sync.Pool{
-	New: func() any { return &TaskView{busy: make(map[string]time.Duration, 8)} },
+	New: func() any { return new(TaskView) },
 }
 
 // GetTaskView returns a pooled view initialized as a copy of src (same
@@ -161,10 +190,7 @@ var viewPool = sync.Pool{
 func GetTaskView(src *TaskView) *TaskView {
 	v := viewPool.Get().(*TaskView)
 	v.topo = src.topo
-	clear(v.busy)
-	for id, t := range src.busy {
-		v.busy[id] = t
-	}
+	v.busy = append(v.busy[:0], src.busy...)
 	return v
 }
 
@@ -182,51 +208,32 @@ func PutTaskView(v *TaskView) {
 
 // NewTaskView starts an empty view: every queue drained at t=0.
 func (t *Topology) NewTaskView() *TaskView {
-	return &TaskView{topo: t, busy: make(map[string]time.Duration)}
+	return &TaskView{topo: t}
 }
 
 // Topology returns the shared hardware graph this view runs on.
 func (v *TaskView) Topology() *Topology { return v.topo }
 
-// BusyUntil returns the view-local queue drain time of a memory device.
-func (v *TaskView) BusyUntil(memID string) time.Duration { return v.busy[memID] }
+// BusyAt returns the view-local queue drain time of the memory device
+// with dense index mi.
+func (v *TaskView) BusyAt(mi int) time.Duration { return v.busy.at(mi) }
 
 // Merge folds another view in as an element-wise max. Seeding a task's view
 // is Merge over every predecessor's final view.
 func (v *TaskView) Merge(o *TaskView) {
-	if o == nil {
-		return
-	}
-	for id, t := range o.busy {
-		if t > v.busy[id] {
-			v.busy[id] = t
-		}
+	if o != nil {
+		v.busy.maxIn(o.busy)
 	}
 }
 
 // Clone returns an independent copy of the view.
 func (v *TaskView) Clone() *TaskView {
-	busy := make(map[string]time.Duration, len(v.busy))
-	for id, t := range v.busy {
-		busy[id] = t
-	}
-	return &TaskView{topo: v.topo, busy: busy}
+	return &TaskView{topo: v.topo, busy: append(queues(nil), v.busy...)}
 }
 
-// AccessTime is Topology.AccessTime against this view's queue state.
-func (v *TaskView) AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
-	mem, ok := v.topo.memories[memID]
-	if !ok {
-		return 0, fmt.Errorf("topology: unknown memory device %q", memID)
-	}
-	path, ok := v.topo.Path(computeID, memID)
-	if !ok {
-		return 0, fmt.Errorf("topology: no path %s→%s", computeID, memID)
-	}
-	done, busy := mem.AccessQueued(v.busy[memID], now+path.Latency, size, kind, pat)
-	v.busy[memID] = busy
-	done += pathStretch(path, mem, size)
-	return done + path.Latency, nil
+// AccessAt is Topology.AccessAt against this view's queue state.
+func (v *TaskView) AccessAt(ci, mi int, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
+	return v.topo.accessQueued(&v.busy, ci, mi, now, size, kind, pat)
 }
 
 // pathStretch is the extra transfer time when the route is the bottleneck:

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/memsim"
@@ -109,32 +109,29 @@ type PathInfo struct {
 	Coherent  bool          // every hop preserves coherence
 }
 
-// Topology is the full hardware graph.
+// Topology is the full hardware graph. Devices are interned to dense
+// indices in insertion order when they are added (ComputeIndex,
+// MemoryIndex); the hot paths run on those indices against the lazily
+// built lookup table of table.go.
 type Topology struct {
-	computes map[string]*ComputeDevice
-	memories map[string]*memsim.Device
-	adj      map[string][]Link
-	// order preserves insertion order for deterministic iteration.
-	computeOrder []string
-	memoryOrder  []string
-	// pathCache memoizes routing results; the graph is static after
-	// construction and Path sits on every memory access's hot path.
-	pathMu    sync.RWMutex
-	pathCache map[[2]string]pathEntry
-}
-
-type pathEntry struct {
-	info PathInfo
-	ok   bool
+	computes    []*ComputeDevice
+	memories    []*memsim.Device
+	computeIdx  map[string]int
+	memoryIdx   map[string]int
+	byKind      [FPGA + 1][]int // compute indices per kind, insertion order
+	allComputes []int           // 0..len(computes)-1, the "any kind" list
+	adj         map[string][]Link
+	// tab is the compute×memory and compute×compute lookup table, nil until
+	// the first lookup after construction or after any mutation.
+	tab atomic.Pointer[table]
 }
 
 // New returns an empty topology.
 func New() *Topology {
 	return &Topology{
-		computes:  make(map[string]*ComputeDevice),
-		memories:  make(map[string]*memsim.Device),
-		adj:       make(map[string][]Link),
-		pathCache: make(map[[2]string]pathEntry),
+		computeIdx: make(map[string]int),
+		memoryIdx:  make(map[string]int),
+		adj:        make(map[string][]Link),
 	}
 }
 
@@ -152,8 +149,14 @@ func (t *Topology) AddCompute(c *ComputeDevice) error {
 	if c.Cores <= 0 {
 		c.Cores = 1
 	}
-	t.computes[c.ID] = c
-	t.computeOrder = append(t.computeOrder, c.ID)
+	i := len(t.computes)
+	t.computes = append(t.computes, c)
+	t.computeIdx[c.ID] = i
+	t.allComputes = append(t.allComputes, i)
+	if int(c.Kind) < len(t.byKind) {
+		t.byKind[c.Kind] = append(t.byKind[c.Kind], i)
+	}
+	t.tab.Store(nil)
 	return nil
 }
 
@@ -165,19 +168,18 @@ func (t *Topology) AddMemory(d *memsim.Device) error {
 	if t.has(d.ID) {
 		return fmt.Errorf("topology: duplicate id %q", d.ID)
 	}
-	t.memories[d.ID] = d
-	t.memoryOrder = append(t.memoryOrder, d.ID)
+	t.memoryIdx[d.ID] = len(t.memories)
+	t.memories = append(t.memories, d)
+	t.tab.Store(nil)
 	return nil
 }
 
 func (t *Topology) has(id string) bool {
-	if _, ok := t.computes[id]; ok {
+	if _, ok := t.computeIdx[id]; ok {
 		return true
 	}
-	if _, ok := t.memories[id]; ok {
-		return true
-	}
-	return false
+	_, ok := t.memoryIdx[id]
+	return ok
 }
 
 // Connect adds a bidirectional link. Unknown endpoints are allowed — they
@@ -193,76 +195,103 @@ func (t *Topology) Connect(l Link) error {
 	rev := l
 	rev.A, rev.B = l.B, l.A
 	t.adj[l.B] = append(t.adj[l.B], rev)
-	t.pathMu.Lock()
-	t.pathCache = make(map[[2]string]pathEntry) // routes changed
-	t.pathMu.Unlock()
+	t.tab.Store(nil) // routes changed
 	return nil
 }
 
 // Compute returns a registered compute device.
 func (t *Topology) Compute(id string) (*ComputeDevice, bool) {
-	c, ok := t.computes[id]
-	return c, ok
+	i, ok := t.computeIdx[id]
+	if !ok {
+		return nil, false
+	}
+	return t.computes[i], true
 }
 
 // Memory returns a registered memory device.
 func (t *Topology) Memory(id string) (*memsim.Device, bool) {
-	d, ok := t.memories[id]
-	return d, ok
+	i, ok := t.memoryIdx[id]
+	if !ok {
+		return nil, false
+	}
+	return t.memories[i], true
 }
+
+// ComputeIndex returns the dense index of a compute device: its position
+// in insertion order, stable for the topology's lifetime.
+func (t *Topology) ComputeIndex(id string) (int, bool) {
+	i, ok := t.computeIdx[id]
+	return i, ok
+}
+
+// MemoryIndex returns the dense index of a memory device: its position in
+// insertion order, stable for the topology's lifetime.
+func (t *Topology) MemoryIndex(id string) (int, bool) {
+	i, ok := t.memoryIdx[id]
+	return i, ok
+}
+
+// ComputeAt returns the compute device with dense index i.
+func (t *Topology) ComputeAt(i int) *ComputeDevice { return t.computes[i] }
+
+// MemoryAt returns the memory device with dense index i.
+func (t *Topology) MemoryAt(i int) *memsim.Device { return t.memories[i] }
+
+// NumComputes returns the number of compute devices (one past the largest
+// dense compute index).
+func (t *Topology) NumComputes() int { return len(t.computes) }
+
+// NumMemories returns the number of memory devices (one past the largest
+// dense memory index).
+func (t *Topology) NumMemories() int { return len(t.memories) }
 
 // Computes returns all compute devices in insertion order.
 func (t *Topology) Computes() []*ComputeDevice {
-	out := make([]*ComputeDevice, 0, len(t.computeOrder))
-	for _, id := range t.computeOrder {
-		out = append(out, t.computes[id])
-	}
-	return out
+	return append([]*ComputeDevice(nil), t.computes...)
 }
 
 // Memories returns all memory devices in insertion order.
 func (t *Topology) Memories() []*memsim.Device {
-	out := make([]*memsim.Device, 0, len(t.memoryOrder))
-	for _, id := range t.memoryOrder {
-		out = append(out, t.memories[id])
-	}
-	return out
+	return append([]*memsim.Device(nil), t.memories...)
 }
 
-// ComputesByKind returns compute devices of the given kind.
-func (t *Topology) ComputesByKind(k ComputeKind) []*ComputeDevice {
-	var out []*ComputeDevice
-	for _, c := range t.Computes() {
-		if c.Kind == k {
-			out = append(out, c)
-		}
+// ComputeIndices returns, in insertion order, the dense indices of the
+// compute devices of kind k — or of every compute device when restricted is
+// false (the two results of a task's DevicePref.Kind). The slice is shared:
+// callers must not modify it.
+func (t *Topology) ComputeIndices(k ComputeKind, restricted bool) []int {
+	if !restricted {
+		return t.allComputes
 	}
-	return out
+	if int(k) < len(t.byKind) {
+		return t.byKind[k]
+	}
+	return nil
 }
 
 // Path routes from one endpoint to another, minimizing latency (ties broken
 // by hop count, then lexicographically for determinism). It returns false if
-// no route exists. Results are memoized: the graph is immutable once built
-// and Path runs on every simulated memory access.
+// no route exists. Routes from a compute device to a memory or compute
+// device come from the lookup table; any other pair is routed on demand.
 func (t *Topology) Path(from, to string) (PathInfo, bool) {
 	if from == to {
 		return PathInfo{Bandwidth: math.Inf(1), Coherent: true}, true
 	}
-	key := [2]string{from, to}
-	t.pathMu.RLock()
-	if e, hit := t.pathCache[key]; hit {
-		t.pathMu.RUnlock()
-		return e.info, e.ok
+	if ci, ok := t.computeIdx[from]; ok {
+		if mi, ok := t.memoryIdx[to]; ok {
+			e := t.Reach(ci, mi)
+			return e.Path, e.OK
+		}
+		if cj, ok := t.computeIdx[to]; ok {
+			return t.ComputePath(ci, cj)
+		}
 	}
-	t.pathMu.RUnlock()
-	info, ok := t.route(from, to)
-	t.pathMu.Lock()
-	t.pathCache[key] = pathEntry{info: info, ok: ok}
-	t.pathMu.Unlock()
-	return info, ok
+	return t.route(from, to)
 }
 
-// route is the uncached Dijkstra search behind Path.
+// route is the single-pair Dijkstra search behind Path for pairs outside
+// the lookup table. The table's single-source search (routeFrom) must agree
+// with it on every pair; the table-equivalence test keeps it as reference.
 func (t *Topology) route(from, to string) (PathInfo, bool) {
 	type state struct {
 		lat  time.Duration
@@ -311,39 +340,34 @@ func (t *Topology) route(from, to string) (PathInfo, bool) {
 		hops = append(hops, l)
 		v = l.A
 	}
-	// Reverse into from→to order.
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
-	}
-	info := PathInfo{Hops: hops, Bandwidth: math.Inf(1), Coherent: true}
-	for _, l := range hops {
-		info.Latency += l.Latency
-		if l.Bandwidth < info.Bandwidth {
-			info.Bandwidth = l.Bandwidth
-		}
-		if !l.Coherent {
-			info.Coherent = false
-		}
-	}
-	return info, true
+	return foldPath(hops), true
 }
 
 // EffectiveCaps folds a path's cost into a memory device's raw spec,
 // producing the capabilities the device offers *as seen from* the given
 // compute device. This is the paper's Figure 3 in code: DRAM looks fast from
-// the local CPU and slow from a GPU across PCIe; GDDR is the reverse.
+// the local CPU and slow from a GPU across PCIe; GDDR is the reverse. The
+// static capabilities come from the lookup table (Reach), FreeCapacity from
+// the device's live allocation meter.
 func (t *Topology) EffectiveCaps(computeID, memID string) (props.Capabilities, bool) {
-	mem, ok := t.memories[memID]
+	ci, ok := t.computeIdx[computeID]
 	if !ok {
 		return props.Capabilities{}, false
 	}
-	if _, ok := t.computes[computeID]; !ok {
-		return props.Capabilities{}, false
-	}
-	path, ok := t.Path(computeID, memID)
+	mi, ok := t.memoryIdx[memID]
 	if !ok {
 		return props.Capabilities{}, false
 	}
+	e := t.Reach(ci, mi)
+	if !e.OK {
+		return props.Capabilities{}, false
+	}
+	return e.Live(), true
+}
+
+// staticCaps folds a routed path into a memory device's raw spec — every
+// capability except FreeCapacity, which changes with every allocation.
+func staticCaps(mem *memsim.Device, path PathInfo) props.Capabilities {
 	bw := mem.Bandwidth
 	if path.Bandwidth < bw {
 		bw = path.Bandwidth
@@ -364,8 +388,7 @@ func (t *Topology) EffectiveCaps(computeID, memID string) (props.Capabilities, b
 		Sync:            mem.Sync && !remote,
 		Persistent:      mem.Persistent,
 		Remote:          remote,
-		FreeCapacity:    mem.Free(),
-	}, true
+	}
 }
 
 // AccessTime returns the virtual completion time of a memory access of size
@@ -373,7 +396,7 @@ func (t *Topology) EffectiveCaps(computeID, memID string) (props.Capabilities, b
 // both ways is added to the device's queued service time, and transfer time
 // is scaled up if the path is narrower than the device.
 func (t *Topology) AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
-	mem, ok := t.memories[memID]
+	mem, ok := t.Memory(memID)
 	if !ok {
 		return 0, fmt.Errorf("topology: unknown memory device %q", memID)
 	}
@@ -381,10 +404,28 @@ func (t *Topology) AccessTime(computeID, memID string, now time.Duration, size i
 	if !ok {
 		return 0, fmt.Errorf("topology: no path %s→%s", computeID, memID)
 	}
+	return accessVia(path, mem, now, size, kind, pat), nil
+}
+
+// AccessAt is AccessTime on dense indices.
+func (t *Topology) AccessAt(ci, mi int, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
+	e := t.Reach(ci, mi)
+	if !e.OK {
+		return 0, t.noPath(ci, mi)
+	}
+	return accessVia(e.Path, e.Mem, now, size, kind, pat), nil
+}
+
+// accessVia prices an access on the device-global service queue.
+func accessVia(path PathInfo, mem *memsim.Device, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration {
 	done := mem.Access(now+path.Latency, size, kind, pat)
 	// If the path is the bottleneck, stretch the transfer phase.
 	done += pathStretch(path, mem, size)
-	return done + path.Latency, nil
+	return done + path.Latency
+}
+
+func (t *Topology) noPath(ci, mi int) error {
+	return fmt.Errorf("topology: no path %s→%s", t.computes[ci].ID, t.memories[mi].ID)
 }
 
 // ResetQueues drains every memory device's service queue — used between

@@ -271,11 +271,23 @@ func TestAddressable(t *testing.T) {
 
 func TestComputesByKind(t *testing.T) {
 	topo := testbed(t)
-	if got := len(topo.ComputesByKind(CPU)); got != 2 {
-		t.Errorf("CPU count = %d, want 2", got)
+	cpus := topo.ComputeIndices(CPU, true)
+	if len(cpus) != 2 {
+		t.Errorf("CPU count = %d, want 2", len(cpus))
 	}
-	if got := len(topo.ComputesByKind(GPU)); got != 1 {
+	for _, ci := range cpus {
+		if topo.ComputeAt(ci).Kind != CPU {
+			t.Errorf("index %d is a %s", ci, topo.ComputeAt(ci).Kind)
+		}
+	}
+	if got := len(topo.ComputeIndices(GPU, true)); got != 1 {
 		t.Errorf("GPU count = %d, want 1", got)
+	}
+	if got := len(topo.ComputeIndices(GPU, false)); got != topo.NumComputes() {
+		t.Errorf("unrestricted count = %d, want all %d", got, topo.NumComputes())
+	}
+	if got := topo.ComputeIndices(ComputeKind(9), true); len(got) != 0 {
+		t.Errorf("unknown kind = %v, want none", got)
 	}
 }
 
